@@ -298,15 +298,15 @@ def faults_leg(
     cl.run(until=msgs * 10_000_000 + 100_000_000)
     if len(end) < 2:
         raise RuntimeError(f"faults leg stalled ({end})")
-    fs = cl.faults.stats if cl.faults is not None else None
+    stats = [fi.stats for fi in cl.fault_injectors.values()]
     return FaultsResult(
         label=label or ("faulty" if faulty else "clean"),
         makespan_ns=max(end.values()),
         completed=msgs,
-        drops=fs.drops if fs else 0,
-        retransmits=fs.retransmits if fs else 0,
-        reorders=fs.reorders if fs else 0,
-        lock_preemptions=fs.lock_preemptions if fs else 0,
+        drops=sum(s.drops for s in stats),
+        retransmits=sum(s.retransmits for s in stats),
+        reorders=sum(s.reorders for s in stats),
+        lock_preemptions=sum(s.lock_preemptions for s in stats),
     )
 
 

@@ -112,15 +112,9 @@ def _timed(engine: Engine, run: Callable[[], None]) -> tuple[int, float, int]:
 # scenarios
 # ----------------------------------------------------------------------
 def _microbench_scenario(
-    name: str, machine_name: str, cpuset_kind: str, reps: int, seed: int,
-    engine_core: Optional[str] = None,
+    name: str, machine_name: str, cpuset_kind: str, reps: int, seed: int
 ) -> ScenarioResult:
-    """Table-I-style submit→wait loop on one queue of the hierarchy.
-
-    ``engine_core`` pins the event core ("wheel" or "heap") regardless of
-    the process default — the core_wheel/core_heap matrix pair uses it to
-    run the same simulation on both cores back to back.
-    """
+    """Table-I-style submit→wait loop on one queue of the hierarchy."""
     from repro.core.manager import PIOMan
     from repro.core.progress import piom_wait
     from repro.core.task import LTask
@@ -130,7 +124,7 @@ def _microbench_scenario(
     from repro.topology.cpuset import CpuSet
 
     machine = MACHINES[machine_name]()
-    engine = Engine(core=engine_core)
+    engine = Engine()
     sched = Scheduler(machine, engine, rng=Rng(seed))
     pioman = PIOMan(machine, engine, sched)
     cpuset = (
@@ -442,7 +436,7 @@ def _fault_net_scenario(
     events, wall_ms, virtual_ns = _timed(engine, run)
     if done != [msgs, msgs]:
         raise RuntimeError(f"{name}: stalled at {done}/{msgs}")
-    fs = cluster.faults.stats
+    stats = [fi.stats for fi in cluster.fault_injectors.values()]
     return ScenarioResult(
         name=name,
         events=events,
@@ -453,9 +447,9 @@ def _fault_net_scenario(
             "fired": events,
             "virtual_ns": virtual_ns,
             "messages": sum(done),
-            "drops": fs.drops,
-            "retransmits": fs.retransmits,
-            "reorders": fs.reorders,
+            "drops": sum(s.drops for s in stats),
+            "retransmits": sum(s.retransmits for s in stats),
+            "reorders": sum(s.reorders for s in stats),
         },
     )
 
@@ -519,17 +513,9 @@ def _fault_slowcore_scenario(
 
 
 def _fault_storm_scenario(
-    name: str, decoys: int, gap_us: int, seed: int,
-    engine_core: Optional[str] = None, best_of: int = 1,
+    name: str, decoys: int, gap_us: int, seed: int
 ) -> ScenarioResult:
     """Cancellation storm + lock-holder preemption on a spin-polling host.
-
-    ``engine_core`` pins the event core ("wheel"/"heap"); the
-    core_wheel/core_heap matrix pair runs this same simulation on both
-    cores, so the pair's ev/s ratio is the wheel's measured speedup on
-    the workload that stresses the event core hardest (same-instant
-    cancel bursts + retransmit-style timers).  ``best_of`` keeps the
-    fastest of N identical runs to shave host-scheduling noise.
 
     A driver pins decoy tasks to its own core so they linger in the queue
     (spin-polling neighbours can't steal them), while storm ticks pick
@@ -549,44 +535,39 @@ def _fault_storm_scenario(
     from repro.topology.cpuset import CpuSet
 
     gap = gap_us * 1_000
-    best: Optional[tuple] = None
-    for _ in range(max(1, best_of)):
-        machine = ccx_machine()
-        engine = Engine(core=engine_core)
-        sched = Scheduler(machine, engine, rng=Rng(seed), true_spin=True)
-        pioman = PIOMan(machine, engine, sched)
-        plan = FaultPlan(
-            seed=seed,
-            # the double-checked fallback keeps empty queues lock-free, so
-            # grants are scarce — a high p is needed to see preemptions at all
-            lock_preemption=LockPreemption(p=0.25, window_ns=30_000),
-            cancel_storm=CancelStorm(
-                count=max(2, decoys // 4), interval_ns=3 * gap, start_ns=gap
-            ),
+    machine = ccx_machine()
+    engine = Engine()
+    sched = Scheduler(machine, engine, rng=Rng(seed), true_spin=True)
+    pioman = PIOMan(machine, engine, sched)
+    plan = FaultPlan(
+        seed=seed,
+        # the double-checked fallback keeps empty queues lock-free, so
+        # grants are scarce — a high p is needed to see preemptions at all
+        lock_preemption=LockPreemption(p=0.25, window_ns=30_000),
+        cancel_storm=CancelStorm(
+            count=max(2, decoys // 4), interval_ns=3 * gap, start_ns=gap
+        ),
+    )
+    injector = FaultInjector(plan).install(scheduler=sched, pioman=pioman)
+
+    def driver(ctx):
+        for i in range(decoys):
+            yield Compute(gap)
+            task = LTask(None, cpuset=CpuSet.single(0), name=f"decoy{i}")
+            yield from pioman.submit(0, task)
+
+    def run() -> None:
+        sched.spawn(driver, 0, name="storm-driver")
+        engine.run(until=decoys * gap + 50_000_000)
+
+    events, wall_ms, virtual_ns = _timed(engine, run)
+    st = pioman.stats
+    fs = injector.stats
+    if st.executions + fs.cancel_hits < st.submits:
+        raise RuntimeError(
+            f"{name}: lost tasks ({st.submits} submitted, "
+            f"{st.executions} ran, {fs.cancel_hits} cancelled)"
         )
-        injector = FaultInjector(plan).install(scheduler=sched, pioman=pioman)
-
-        def driver(ctx):
-            for i in range(decoys):
-                yield Compute(gap)
-                task = LTask(None, cpuset=CpuSet.single(0), name=f"decoy{i}")
-                yield from pioman.submit(0, task)
-
-        def run() -> None:
-            sched.spawn(driver, 0, name="storm-driver")
-            engine.run(until=decoys * gap + 50_000_000)
-
-        events, wall_ms, virtual_ns = _timed(engine, run)
-        st = pioman.stats
-        fs = injector.stats
-        if st.executions + fs.cancel_hits < st.submits:
-            raise RuntimeError(
-                f"{name}: lost tasks ({st.submits} submitted, "
-                f"{st.executions} ran, {fs.cancel_hits} cancelled)"
-            )
-        if best is None or wall_ms < best[1]:
-            best = (events, wall_ms, virtual_ns, pioman.stats, injector.stats)
-    events, wall_ms, virtual_ns, st, fs = best
     return ScenarioResult(
         name=name,
         events=events,
@@ -658,7 +639,7 @@ def _cluster_sharded_scenario(
 # the matrix
 # ----------------------------------------------------------------------
 def matrix_specs(*, quick: bool = False, seed: int = 7) -> list:
-    """The fixed 15-scenario matrix as :class:`repro.par.JobSpec` jobs.
+    """The fixed 13-scenario matrix as :class:`repro.par.JobSpec` jobs.
 
     Each scenario carries its own derived seed in the spec, so its
     simulated outcome (the fingerprint) is fixed before any worker runs —
@@ -757,24 +738,6 @@ def matrix_specs(*, quick: bool = False, seed: int = 7) -> list:
             kwargs=dict(name="fault_storm", decoys=10 * scale, gap_us=20,
                         seed=seed + 8),
         ),
-        # core_wheel / core_heap share a seed on purpose: the SAME
-        # simulation on the two event cores (timer wheel vs binary heap),
-        # so their ev/s ratio is the wheel's measured speedup on this
-        # workload and their fingerprints must be bit-identical.
-        JobSpec(
-            name="core_wheel",
-            target=f"{mod}:_fault_storm_scenario",
-            kwargs=dict(name="core_wheel", decoys=5 * scale, gap_us=20,
-                        seed=seed + 9, engine_core="wheel",
-                        best_of=1 if quick else 3),
-        ),
-        JobSpec(
-            name="core_heap",
-            target=f"{mod}:_fault_storm_scenario",
-            kwargs=dict(name="core_heap", decoys=5 * scale, gap_us=20,
-                        seed=seed + 9, engine_core="heap",
-                        best_of=1 if quick else 3),
-        ),
         # the shard protocol itself: a generated workload run whole and
         # split in two (serial shards), fingerprints required identical —
         # the perf-regression gate covers the window-sync path on every PR
@@ -832,16 +795,6 @@ def format_host_perf(report: HostPerfReport) -> str:
             lines.append(
                 "occupancy-summary fast path: "
                 f"{on.events_per_sec / off.events_per_sec:.2f}x on idle_spin"
-            )
-    except KeyError:
-        pass
-    try:
-        wheel = report.scenario("core_wheel")
-        heap = report.scenario("core_heap")
-        if heap.events_per_sec:
-            lines.append(
-                "event core (wheel vs heap): "
-                f"{wheel.events_per_sec / heap.events_per_sec:.2f}x on core pair"
             )
     except KeyError:
         pass

@@ -11,10 +11,10 @@ cluster (``shard=(index, count)``): node ids keep their global meaning,
 but only the ids owned by this shard (``id % count == index``) are
 instantiated locally.  Frames to non-local nodes leave through the
 fabric's ``remote_sink`` — the conservative-lookahead coordinator in
-:mod:`repro.cluster.shard` carries them across processes.  Sharded runs
-require per-entity randomness (``jitter_mode="per_link"``,
-``fault_scope="node"``) so that no RNG stream is shared across nodes
-that may land in different processes.
+:mod:`repro.cluster.shard` carries them across processes.  Every RNG
+stream is per entity — wire jitter per source rail, probe phases and
+fault streams per node — so no stream is shared across nodes that may
+land in different processes, and any cluster can run sharded.
 """
 
 from __future__ import annotations
@@ -99,19 +99,17 @@ class Node:
 class Cluster:
     """N homogeneous nodes over one fabric and one virtual clock.
 
-    ``core`` / ``quiescence_leap`` select the engine core ("wheel" or
-    "heap") and the idle-poll fast-forward per cluster, without the
-    ``REPRO_ENGINE_CORE`` / ``REPRO_LEAP`` env games (A/B runs build two
-    clusters side by side).  ``shard=(index, count)`` instantiates only
-    the nodes this shard owns — see the module docstring.  In a sharded
-    build, ``nnodes`` stays the *global* node count.
+    ``quiescence_leap`` selects the idle-poll fast-forward per cluster,
+    without the ``REPRO_LEAP`` env game (A/B runs build two clusters side
+    by side).  ``shard=(index, count)`` instantiates only the nodes this
+    shard owns — see the module docstring.  In a sharded build,
+    ``nnodes`` stays the *global* node count.
 
-    ``fault_scope`` controls fault-RNG granularity: ``"run"`` (default)
-    keeps the original single injector whose streams are shared by every
-    node, ``"node"`` derives one injector per node (seed =
-    ``derive_seed(plan.seed, "node{id}")``) registered under
-    ``faults.node{id}`` — required for sharded runs, where a shared
-    stream's draw order would depend on the shard layout.
+    A fault plan gets one injector per node (seed =
+    ``derive_seed(plan.seed, "node{id}")``), registered under
+    ``faults.node{id}`` and kept in ``fault_injectors``: a stream shared
+    by several nodes would make its draw order depend on the shard
+    layout.
     """
 
     def __init__(
@@ -127,43 +125,22 @@ class Cluster:
         registry=None,
         summary_fastpath: bool = True,
         faults: Optional[FaultPlan] = None,
-        core: Optional[str] = None,
         quiescence_leap: Optional[bool] = None,
-        jitter_mode: str = "global",
-        fault_scope: str = "run",
         shard=None,
     ) -> None:
         if nnodes < 1:
             raise ValueError("need at least one node")
-        if fault_scope not in ("run", "node"):
-            raise ValueError(
-                f"fault_scope must be 'run' or 'node', got {fault_scope!r}"
-            )
         if shard is not None and not hasattr(shard, "owns"):
             from repro.cluster.shard import ShardSpec
 
             shard = ShardSpec(*shard)
-        self.engine = Engine(core=core)
+        self.engine = Engine()
         self.rng = Rng(seed)
-        self.fabric = Fabric(
-            self.engine, rng=self.rng.fork(1), jitter_mode=jitter_mode
-        )
+        self.fabric = Fabric(self.engine, rng=self.rng.fork(1))
         self.tracer = tracer
         self.registry = registry
         self.nnodes = nnodes
         self.shard = shard
-        if shard is not None and shard.count > 1:
-            if jitter_mode != "per_link" and any(d.jitter > 0 for d in drivers):
-                raise ValueError(
-                    "sharded clusters with jittered drivers need "
-                    "jitter_mode='per_link' (the global jitter stream's "
-                    "draw order depends on the shard layout)"
-                )
-            if faults is not None and faults.enabled() and fault_scope != "node":
-                raise ValueError(
-                    "sharded clusters with faults need fault_scope='node' "
-                    "(run-scoped fault streams are shared across nodes)"
-                )
         local_ids = [
             i for i in range(nnodes) if shard is None or shard.owns(i)
         ]
@@ -185,40 +162,21 @@ class Cluster:
             for i in local_ids
         ]
         self.node_by_id = {node.id: node for node in self.nodes}
-        #: fault injector when a plan is attached (``faults=FaultPlan(...)``);
-        #: None keeps every hook cold — bit-identical to a plan-less run.
-        #: With ``fault_scope="node"`` this stays None and
-        #: ``fault_injectors`` maps node id -> injector instead.
-        self.faults: Optional[FaultInjector] = None
+        #: node id -> fault injector when a plan is attached
+        #: (``faults=FaultPlan(...)``); empty keeps every hook cold —
+        #: bit-identical to a plan-less run
         self.fault_injectors: dict[int, FaultInjector] = {}
         if faults is not None and faults.enabled():
-            if fault_scope == "node":
-                for node in self.nodes:
-                    plan = replace(
-                        faults, seed=derive_seed(faults.seed, f"node{node.id}")
-                    )
-                    injector = FaultInjector(plan, tracer=tracer)
-                    injector.engine = self.engine
-                    injector.install(
-                        scheduler=node.scheduler, pioman=node.pioman,
-                        nics=node.nics,
-                    )
-                    if registry is not None:
-                        registry.register(
-                            f"faults.node{node.id}", injector.stats
-                        )
-                    self.fault_injectors[node.id] = injector
-            else:
-                injector = FaultInjector(faults, tracer=tracer)
+            for node in self.nodes:
+                plan = replace(faults, seed=derive_seed(faults.seed, f"node{node.id}"))
+                injector = FaultInjector(plan, tracer=tracer)
                 injector.engine = self.engine
-                for node in self.nodes:
-                    injector.install(
-                        scheduler=node.scheduler, pioman=node.pioman,
-                        nics=node.nics,
-                    )
+                injector.install(
+                    scheduler=node.scheduler, pioman=node.pioman, nics=node.nics
+                )
                 if registry is not None:
-                    registry.register("faults", injector.stats)
-                self.faults = injector
+                    registry.register(f"faults.node{node.id}", injector.stats)
+                self.fault_injectors[node.id] = injector
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run the shared engine (see :meth:`repro.sim.Engine.run`)."""

@@ -26,14 +26,15 @@ share of the fabric, synchronized by the classic conservative
   past; there is no rollback, and the execution is deterministic by
   construction.
 
-Identity, not just determinism: with per-entity RNG streams
-(``jitter_mode="per_link"``, ``fault_scope="node"``, per-NMad message
-ids) every node computes exactly the same event sequence regardless of
-which process hosts it, so the union of the shards' metric snapshots and
-the multiset of their trace records are **bit-identical** to the
-single-process run at any shard count — ``run_sharded(..., nshards=1)``
-is the single-process reference, and the test suite and CI gate compare
-fingerprints across shard counts.
+Identity, not just determinism: every RNG and id stream is per entity
+(wire jitter per source rail, probe phases and fault streams per node,
+per-NMad message ids), so every node computes exactly the same event
+sequence regardless of which process hosts it — any
+:class:`~repro.cluster.cluster.Cluster` can be sharded — and the union
+of the shards' metric snapshots and the multiset of their trace records
+are **bit-identical** to the single-process run at any shard count —
+``run_sharded(..., nshards=1)`` is the single-process reference, and the
+test suite and CI gate compare fingerprints across shard counts.
 
 Blocked actors: a shard whose queue drains while threads wait on
 cross-shard receives is *not* deadlocked — the wake-up frame is in

@@ -259,7 +259,6 @@ def build_workload_cluster(
     shard=None,
     *,
     spec: WorkloadSpec,
-    core: Optional[str] = None,
     quiescence_leap: Optional[bool] = None,
     trace: bool = False,
     trace_limit: int = 2_000_000,
@@ -294,12 +293,7 @@ def build_workload_cluster(
         seed=spec.seed,
         registry=registry,
         tracer=tracer,
-        core=core,
         quiescence_leap=quiescence_leap,
-        jitter_mode="per_link",
-        # node-scoped fault streams: required for sharded identity, and
-        # used for shard=None too so the reference run matches
-        fault_scope="node",
         faults=faults,
         shard=shard,
     )

@@ -28,9 +28,9 @@ Cores join the leap in either of two provable states:
   samples), after which the core is in the asleep state and its
   remaining cycles batch like everyone else's.
 
-The contract is the same one the summary fast path and the wheel core
-shipped under: **bit-identical**.  Leap-on and leap-off runs produce the
-same fingerprints, the same metrics snapshots, the same engine ``fired``
+The contract is the same one the summary fast path shipped under:
+**bit-identical**.  Leap-on and leap-off runs produce the same
+fingerprints, the same metrics snapshots, the same engine ``fired``
 count and internal ``seq`` numbering — the leap replays the exact
 per-cycle accounting (pass/summary/queue counters, histogram samples via
 :meth:`Histogram.record_many`, virtual Compute cost, run-queue arrival
@@ -79,10 +79,10 @@ _ASLEEP, _MIDCYCLE = 0, 1
 class QuiescenceLeap:
     """One leap controller per engine, installed by :class:`PIOMan`.
 
-    The engine's run loops call :meth:`attempt` when ``armed`` is set
-    (the scheduler arms it whenever an idle thread re-enters its
-    sleeping steady state).  ``attempt`` re-validates everything from
-    scratch — arming is a cheap hint, never a proof.
+    The engine's run loop calls :meth:`attempt` between wheel buckets
+    when ``armed`` is set (the scheduler arms it whenever an idle thread
+    re-enters its sleeping steady state).  ``attempt`` re-validates
+    everything from scratch — arming is a cheap hint, never a proof.
     """
 
     __slots__ = (
@@ -91,8 +91,6 @@ class QuiescenceLeap:
         "manager",
         "armed",
         "min_cycles",
-        "cool_ns",
-        "cool_until",
         "leaps",
         "cycles_elided",
     )
@@ -105,13 +103,6 @@ class QuiescenceLeap:
         #: smallest total cycle count worth a leap: below this the
         #: attempt's own bookkeeping costs more host time than it saves
         self.min_cycles = 2
-        #: failed-attempt cooldown (virtual ns): a failed attempt costs
-        #: an O(cores) eligibility scan, and the arm hint re-fires every
-        #: probe cycle on every core — without a cooldown a busy phase
-        #: pays that scan per cycle.  One wheel bucket's worth of virtual
-        #: time bounds failures to the wheel's own boundary cadence.
-        self.cool_ns = 4096
-        self.cool_until = 0
         # Host-side diagnostics only — deliberately NOT registered in any
         # metrics registry, so snapshots stay identical leap-on/leap-off.
         self.leaps = 0
@@ -126,15 +117,6 @@ class QuiescenceLeap:
         could have produced; False means "nothing provably inert enough".
         """
         self.armed = False
-        now = self.engine.now
-        if now < self.cool_until:
-            return False
-        if self._attempt(hi):
-            return True
-        self.cool_until = now + self.cool_ns
-        return False
-
-    def _attempt(self, hi: Optional[int]) -> bool:
         sched = self.sched
         manager = self.manager
         engine = self.engine
@@ -146,7 +128,7 @@ class QuiescenceLeap:
             or sched.normal_live <= 0
         ):
             return False
-        if engine.is_wheel and engine._nowq:
+        if engine._nowq:
             return False
 
         # -- per-core eligibility -------------------------------------
@@ -379,7 +361,6 @@ class QuiescenceLeap:
         preempt = sched._preempt
         leap_commit = manager.leap_commit
         pool = engine._pool
-        is_wheel = engine.is_wheel
         for i, (cid, idle, ev, shape, anchor, c) in enumerate(committed):
             nw = wakes[i]
             exit_mid = pend[i] is not None
@@ -443,10 +424,7 @@ class QuiescenceLeap:
                     nev._pooled = True
                 nev._engine = engine
                 engine._live += 1
-                if is_wheel:
-                    engine._insert((ta, cseq, None, nev))
-                else:
-                    heappush(engine._heap, (ta, cseq, nev))
+                engine._insert((ta, cseq, None, nev))
                 idle.compute_event = (nev, wlast, c)
                 idle.sleep_event = None
                 idle.state = TState.RUNNING
@@ -475,10 +453,7 @@ class QuiescenceLeap:
                     nev._pooled = True
                 nev._engine = engine
                 engine._live += 1
-                if is_wheel:
-                    engine._insert((st, ss, None, nev))
-                else:
-                    heappush(engine._heap, (st, ss, nev))
+                engine._insert((st, ss, None, nev))
                 idle.sleep_event = nev
                 idle.instr_start = last_adv2[i]
             if last_rq[i] >= 0:

@@ -5,20 +5,18 @@ driver name, index); frames route to the *same driver rail* on the target
 node — multirail setups (one MX + one IB NIC per node, as on BORDERLINE)
 are therefore just multiple registrations.
 
-Two hooks exist for sharded simulation (:mod:`repro.cluster.shard`):
+Wire jitter is drawn per *source rail*: every rail gets its own
+stream, derived from the fabric seed and the rail's identity, so a
+frame's wire time depends only on the sending NIC and its own transmit
+count — never on the global interleaving of transmissions.  That is
+what keeps a sharded run (:mod:`repro.cluster.shard`, where each shard
+only sees its own nodes' transmissions) bit-identical to the
+single-process run.
 
-* ``jitter_mode="per_link"`` gives every *source rail* its own
-  seed-derived jitter stream, so a frame's wire time depends only on the
-  sending NIC's identity and its own transmit count — never on the
-  global interleaving of transmissions.  That is what keeps a sharded
-  run (where each shard only sees its own nodes' transmissions)
-  bit-identical to the single-process run.  The default ``"global"``
-  mode keeps the original shared draw-order stream so committed
-  single-process fingerprints stay valid.
-* ``remote_sink`` — when set, a frame whose destination rail is not
-  registered here is handed to it as ``(src_nic, frame, arrive_at)``
-  instead of raising; the shard runner uses this to capture cross-shard
-  frames into its outbox.
+``remote_sink`` — when set, a frame whose destination rail is not
+registered here is handed to it as ``(src_nic, frame, arrive_at)``
+instead of raising; the shard runner uses this to capture cross-shard
+frames into its outbox.
 """
 
 from __future__ import annotations
@@ -34,30 +32,17 @@ from repro.sim.rng import Rng
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
-#: accepted jitter_mode values
-JITTER_MODES = ("global", "per_link")
-
 
 class Fabric:
     """Connects the NICs of a cluster and schedules wire deliveries."""
 
-    def __init__(
-        self,
-        engine: "Engine",
-        rng: Optional[Rng] = None,
-        *,
-        jitter_mode: str = "global",
-    ) -> None:
-        if jitter_mode not in JITTER_MODES:
-            raise ValueError(
-                f"jitter_mode must be one of {JITTER_MODES}, got {jitter_mode!r}"
-            )
+    def __init__(self, engine: "Engine", rng: Optional[Rng] = None) -> None:
         self.engine = engine
+        #: seed source only: its seed salts every per-rail jitter stream
         self.rng = rng if rng is not None else Rng(7)
-        self.jitter_mode = jitter_mode
         #: (node_id, driver_name, index) -> Nic
         self._nics: dict[tuple[int, str, int], Nic] = {}
-        #: lazily created per-source-rail jitter streams (per_link mode)
+        #: lazily created per-source-rail jitter streams
         self._link_rngs: dict[tuple[int, str, int], Rng] = {}
         #: cross-shard escape hatch: called as (src_nic, frame, arrive_at)
         #: for frames whose destination rail is not registered here
@@ -92,9 +77,7 @@ class Fabric:
     def wire_ns(self, src_nic: Nic, frame: Frame) -> int:
         """Latency + serialization for a frame leaving ``src_nic``."""
         base = src_nic.driver.wire_ns(frame.size_bytes)
-        if self.jitter_mode == "per_link":
-            return self._link_rng(src_nic).jitter_ns(base, src_nic.driver.jitter)
-        return self.rng.jitter_ns(base, src_nic.driver.jitter)
+        return self._link_rng(src_nic).jitter_ns(base, src_nic.driver.jitter)
 
     def min_lookahead_ns(self) -> Optional[int]:
         """Conservative lower bound on any frame's wire time (ns).

@@ -12,25 +12,21 @@ cleanly into two camps:
   handle (sleep timers, interruptible compute slices).
 * :meth:`Engine.post` / :meth:`Engine.post_soon` / :meth:`Engine.post_at`
   are the fire-and-forget fast path: no handle escapes, so no Event
-  object is needed at all on the wheel core (the dominant case —
-  dispatch ticks, lock grants, doorbell rings, wire deliveries).
+  object is needed at all (the dominant case — dispatch ticks, lock
+  grants, doorbell rings, wire deliveries).
 
-Two interchangeable cores implement the same total order:
-
-* ``Engine(core="wheel")`` (the default) — a bucketed timer wheel
-  (calendar queue): events land in ``time >> WHEEL_SHIFT`` buckets in
-  O(1), the run loop drains one bucket at a time, and all events in a
-  bucket fire as one sorted batch without re-sifting between them.
-  Far-future timers beyond the wheel horizon wait in an overflow heap
-  and migrate into the wheel as the window slides.
-* ``Engine(core="heap")`` — the original binary heap of
-  ``(time, seq, Event)`` tuples with a free pool of recycled carriers.
+The queue is a bucketed timer wheel (calendar queue): events land in
+``time >> WHEEL_SHIFT`` buckets in O(1), the run loop drains one bucket
+at a time, and all events in a bucket fire as one sorted batch without
+re-sifting between them.  Far-future timers beyond the wheel horizon
+wait in an overflow heap and migrate into the wheel as the window
+slides.
 
 ``seq`` is a global monotonically increasing counter, so ties fire in
-submission order and every run is bit-for-bit reproducible; both cores
-realize the exact same ``(time, seq)`` total order, so a simulation is
-byte-identical whichever core runs it (the randomized equivalence fuzz
-in ``tests/sim/test_engine_wheel.py`` holds them to that).
+submission order and every run is bit-for-bit reproducible: events fire
+in exact ``(time, seq)`` order.  The randomized fuzz in
+``tests/sim/test_engine_wheel.py`` holds the wheel to that order against
+a plain-``heapq`` reference engine that lives in the tests.
 
 *Drain hooks*: callables consulted when the queue drains while some
 component still claims to be waiting for progress; used by the cluster
@@ -40,7 +36,6 @@ harness to detect deadlocks instead of silently returning.
 from __future__ import annotations
 
 import math
-import os
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
@@ -63,11 +58,6 @@ WHEEL_MASK = WHEEL_SLOTS - 1
 #: scenario cannot retain an unbounded free list forever.
 POOL_CAP = 4096
 
-#: process-wide default core, overridable for A/B runs without touching
-#: call sites: ``REPRO_ENGINE_CORE=heap python -m repro.bench perf ...``
-DEFAULT_CORE = os.environ.get("REPRO_ENGINE_CORE", "wheel")
-
-
 class SimulationError(RuntimeError):
     """Base class for errors raised by the simulation substrate."""
 
@@ -79,13 +69,12 @@ class DeadlockError(SimulationError):
 class Event:
     """Handle for a scheduled callback.
 
-    Queued as the payload of a ``(time, seq, None, event)`` entry (wheel
-    core) or a ``(time, seq, event)`` heap tuple (heap core);
+    Queued as the payload of a ``(time, seq, None, event)`` entry;
     ``cancel()`` marks the event dead and the engine skips dead events
     when they surface.  ``_engine`` is set while the event is queued and
     cancellable, so cancellation can maintain the engine's O(1) live
     count; ``_pooled`` events are internal carriers that return to the
-    engine's free pool after firing.
+    engine's free pool after firing or surfacing dead.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "alive", "_engine", "_pooled")
@@ -108,9 +97,6 @@ class Event:
                 self._engine = None
                 eng._live -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.alive else "dead"
         return f"<Event t={self.time} seq={self.seq} {state} {getattr(self.fn, '__name__', self.fn)!r}>"
@@ -130,35 +116,54 @@ def _coerce_delay(delay: Any) -> int:
 
 
 class Engine:
-    """Deterministic discrete-event loop with a nanosecond virtual clock.
+    """Deterministic discrete-event loop with a nanosecond virtual clock:
+    a timer wheel with O(1) insert and batched bucket drains.
 
-    Instantiating ``Engine(core=...)`` returns the selected core
-    subclass (:class:`WheelEngine` or :class:`HeapEngine`); with no
-    argument the process default (``DEFAULT_CORE``) is used.
+    Layout
+    ------
+    ``_slots[time >> WHEEL_SHIFT & WHEEL_MASK]`` holds every queued entry
+    whose bucket index falls inside the current window
+    ``[_wpos, _wlimit)`` (``_wlimit - _wpos`` is always ``WHEEL_SLOTS``,
+    so masked slots never alias).  ``_bidx`` is a sorted list of the
+    *absolute* indices of non-empty buckets: the next non-empty bucket
+    is ``_bidx[0]``, and an insert only touches it on a bucket's
+    empty→non-empty transition (one ``len()`` check otherwise — cheaper
+    than any bitmask arithmetic at Python speed).  Entries at or beyond
+    ``_wlimit`` wait in the ``_over`` heap and migrate into the wheel as
+    the window slides (every overflow entry's time is >= every wheel
+    entry's time, so migration never reorders).
+
+    Entries are plain tuples — ``(time, seq, fn, args)`` for
+    fire-and-forget posts (no carrier object at all), and
+    ``(time, seq, None, event)`` for cancellable handles.  Three insert
+    tiers, cheapest first:
+
+    * ``time == now`` → ``_nowq``, a plain FIFO: these are the
+      same-instant events (``post_soon``/``call_soon`` and zero-delay
+      posts) and they fire *as a batch with no ordering work at all*.
+      This is sound because ``seq`` is globally monotonic and every
+      at-``now`` arrival during an instant lands here — so anything
+      already queued at this time has a smaller ``seq`` than every
+      FIFO entry, and the FIFO itself is in ``seq`` order by
+      construction.
+    * bucket currently being drained (``time <= _aend``, one compare —
+      the dominant case: dispatch chains step ~100 ns inside 4096 ns
+      buckets) → ``heappush`` straight into the live bucket heap: the
+      ordering cost is paid on a tiny per-bucket heap, only for entries
+      that actually interleave with the drain.
+    * any other in-window bucket → bare ``list.append`` (no ordering
+      work); the bucket is ``heapify``-ed once when its drain begins.
     """
 
-    #: class-level discriminant so hot call sites can branch on the
-    #: queue layout without an isinstance check
-    is_wheel = False
-
-    def __new__(cls, core: Optional[str] = None) -> "Engine":
-        if cls is Engine:
-            kind = DEFAULT_CORE if core is None else core
-            if kind == "wheel":
-                return object.__new__(WheelEngine)
-            if kind == "heap":
-                return object.__new__(HeapEngine)
-            raise ValueError(f"unknown engine core {kind!r}")
-        return object.__new__(cls)
-
-    def __init__(self, core: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._seq: int = 0
         self._live: int = 0
         self._running = False
-        #: free pool of recycled Event carriers (see :meth:`post` on the
-        #: heap core; the wheel core pools only cancellable carriers its
-        #: callers ask it to, e.g. the scheduler's sleep timers)
+        #: free pool of recycled cancellable Event carriers: the
+        #: scheduler's inlined Compute slices and idle sleeps (and the
+        #: quiescence leap's re-armed carriers) check carriers out of it;
+        #: the engine returns them after they fire or surface dead
         self._pool: list[Event] = []
         #: number of callbacks actually executed (dead events excluded)
         self.fired: int = 0
@@ -171,12 +176,36 @@ class Engine:
         self.blocked_reporters: list[Callable[[], int]] = []
         #: quiescence-leap controller (:class:`repro.core.leap
         #: .QuiescenceLeap`), installed by PIOMan on eligible worlds;
-        #: the run loops consult it only when its ``armed`` hint is set.
+        #: the run loop consults it only when its ``armed`` hint is set.
         self.leap = None
+        #: the wheel: one entry list per bucket slot (see Layout)
+        self._slots: list[list[tuple]] = [[] for _ in range(WHEEL_SLOTS)]
+        #: sorted absolute indices of non-empty buckets
+        self._bidx: list[int] = []
+        #: absolute bucket index of the window start (<= bucket of the
+        #: next undrained entry; never ahead of ``now``'s bucket while
+        #: callers can insert)
+        self._wpos: int = 0
+        #: absolute bucket index one past the window end (exclusive);
+        #: maintained as ``_wpos + WHEEL_SLOTS``
+        self._wlimit: int = WHEEL_SLOTS
+        #: overflow heap for entries beyond the window
+        self._over: list[tuple] = []
+        #: FIFO of entries whose time equals ``now`` (drained before the
+        #: clock advances; folded back into the wheel if one survives
+        #: past a run, e.g. a post_soon issued between runs)
+        self._nowq: list[tuple] = []
+        #: last timestamp covered by the actively draining bucket, else
+        #: -1.  Because callers can only schedule at ``time >= now`` and
+        #: ``now`` sits inside the active bucket while draining,
+        #: ``time <= _aend`` is a complete one-compare test for "lands in
+        #: the live bucket" — the dominant insert (dispatch chains step
+        #: ~100 ns inside 4096 ns buckets), reduced to one C heappush.
+        self._aend: int = -1
+        #: the live bucket list itself while draining (alias of
+        #: its slot list in ``_slots``), else None
+        self._abuc: Optional[list] = None
 
-    # ------------------------------------------------------------------
-    # shared API
-    # ------------------------------------------------------------------
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time (>= now)."""
         if time < self.now:
@@ -220,118 +249,6 @@ class Engine:
                 f"{blocked} actor(s) still blocked"
             )
         return self.now
-
-    def next_external_time(self, carriers: set) -> Optional[int]:
-        """Earliest live queued event that is not one of ``carriers``.
-
-        ``carriers`` is a set of cancellable :class:`Event` handles the
-        quiescence leap has classified as elidable periodic idle
-        carriers; everything else — fire-and-forget posts, other
-        handles — is *external* and bounds the leap.  Returns None when
-        no external event is queued.  Read-only: never pops, recycles,
-        or reorders queue state.
-        """
-        raise NotImplementedError
-
-    # subclass responsibilities
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        raise NotImplementedError
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        raise NotImplementedError
-
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        raise NotImplementedError
-
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        raise NotImplementedError
-
-    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[int]:
-        raise NotImplementedError
-
-    def step(self) -> bool:
-        raise NotImplementedError
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "wheel" if self.is_wheel else "heap"
-        return f"<Engine[{kind}] now={self.now}ns pending={self.pending()} fired={self.fired}>"
-
-
-class WheelEngine(Engine):
-    """Timer-wheel core: O(1) insert, batched bucket drains.
-
-    Layout
-    ------
-    ``_slots[time >> WHEEL_SHIFT & WHEEL_MASK]`` holds every queued entry
-    whose bucket index falls inside the current window
-    ``[_wpos, _wlimit)`` (``_wlimit - _wpos`` is always ``WHEEL_SLOTS``,
-    so masked slots never alias).  ``_bidx`` is a sorted list of the
-    *absolute* indices of non-empty buckets: the next non-empty bucket
-    is ``_bidx[0]``, and an insert only touches it on a bucket's
-    empty→non-empty transition (one ``len()`` check otherwise — cheaper
-    than any bitmask arithmetic at Python speed).  Entries at or beyond
-    ``_wlimit`` wait in the ``_over`` heap and migrate into the wheel as
-    the window slides (every overflow entry's time is >= every wheel
-    entry's time, so migration never reorders).
-
-    Entries are plain tuples — ``(time, seq, fn, args)`` for
-    fire-and-forget posts (no carrier object at all), and
-    ``(time, seq, None, event)`` for cancellable handles.  Three insert
-    tiers, cheapest first:
-
-    * ``time == now`` → ``_nowq``, a plain FIFO: these are the
-      same-instant events (``post_soon``/``call_soon`` and zero-delay
-      posts) and they fire *as a batch with no ordering work at all*.
-      This is sound because ``seq`` is globally monotonic and every
-      at-``now`` arrival during an instant lands here — so anything
-      already queued at this time has a smaller ``seq`` than every
-      FIFO entry, and the FIFO itself is in ``seq`` order by
-      construction.
-    * bucket currently being drained (``time <= _aend``, one compare —
-      the dominant case: dispatch chains step ~100 ns inside 4096 ns
-      buckets) → ``heappush`` straight into the live bucket heap: the
-      ordering cost is paid on a tiny per-bucket heap, only for entries
-      that actually interleave with the drain.
-    * any other in-window bucket → bare ``list.append`` (no ordering
-      work); the bucket is ``heapify``-ed once when its drain begins.
-    """
-
-    is_wheel = True
-
-    def __init__(self, core: Optional[str] = None) -> None:
-        super().__init__(core)
-        self._slots: list[list[tuple]] = [[] for _ in range(WHEEL_SLOTS)]
-        #: sorted absolute indices of non-empty buckets
-        self._bidx: list[int] = []
-        #: absolute bucket index of the window start (<= bucket of the
-        #: next undrained entry; never ahead of ``now``'s bucket while
-        #: callers can insert)
-        self._wpos: int = 0
-        #: absolute bucket index one past the window end (exclusive);
-        #: maintained as ``_wpos + WHEEL_SLOTS``
-        self._wlimit: int = WHEEL_SLOTS
-        #: overflow heap for entries beyond the window
-        self._over: list[tuple] = []
-        #: FIFO of entries whose time equals ``now`` (drained before the
-        #: clock advances; folded back into the wheel if one survives
-        #: past a run, e.g. a post_soon issued between runs)
-        self._nowq: list[tuple] = []
-        #: last timestamp covered by the actively draining bucket, else
-        #: -1.  Because callers can only schedule at ``time >= now`` and
-        #: ``now`` sits inside the active bucket while draining,
-        #: ``time <= _aend`` is a complete one-compare test for "lands in
-        #: the live bucket" — the dominant insert (dispatch chains step
-        #: ~100 ns inside 4096 ns buckets), reduced to one C heappush.
-        self._aend: int = -1
-        #: the live bucket list itself while draining (alias of
-        #: its slot list in ``_slots``), else None
-        self._abuc: Optional[list] = None
 
     def _insert(self, e: tuple) -> None:
         """Queue an entry with ``now < time`` outside the active bucket:
@@ -463,7 +380,14 @@ class WheelEngine(Engine):
         nq.clear()
 
     def next_external_time(self, carriers: set) -> Optional[int]:
-        """See :meth:`Engine.next_external_time`.
+        """Earliest live queued event that is not one of ``carriers``.
+
+        ``carriers`` is a set of cancellable :class:`Event` handles the
+        quiescence leap has classified as elidable periodic idle
+        carriers; everything else — fire-and-forget posts, other
+        handles — is *external* and bounds the leap.  Returns None when
+        no external event is queued.  Read-only: never pops, recycles,
+        or reorders queue state.
 
         Walks the engine tiers cheapest-first without scanning past the
         answer: the same-instant FIFO (any live non-carrier entry bounds
@@ -721,9 +645,9 @@ class WheelEngine(Engine):
                                             pool.append(ev)
                                     efn(*eargs)
                         except BaseException:
-                            # drop the fired prefix (the raiser included,
-                            # matching the heap core: it counts as fired
-                            # and must not refire on resume)
+                            # drop the fired prefix (the raiser included:
+                            # it counts as fired and must not refire on
+                            # resume)
                             del nowq[:i]
                             raise
                         nowq.clear()
@@ -731,9 +655,9 @@ class WheelEngine(Engine):
                     if not batch:
                         break
                     if careful:
-                        # mirror the heap core's bounded loop: skim dead
-                        # handles first, apply the bounds against a live
-                        # head, count only fired events against budget
+                        # bounded drain: skim dead handles first, apply
+                        # the bounds against a live head, count only
+                        # fired events against budget
                         e0 = batch[0]
                         if e0[2] is None and not e0[3].alive:
                             heappop(batch)
@@ -787,257 +711,5 @@ class WheelEngine(Engine):
             self._abuc = None
             self._running = False
 
-
-class HeapEngine(Engine):
-    """The original binary-heap core, kept as the A/B reference.
-
-    Heap entries are plain ``(time, seq, event)`` tuples so heap sift
-    compares at C speed (``seq`` breaks ties, the Event is never
-    compared).  Fire-and-forget posts recycle their Event carriers
-    through the engine's free pool.
-    """
-
-    is_wheel = False
-
-    def __init__(self, core: Optional[str] = None) -> None:
-        super().__init__(core)
-        self._heap: list[tuple[int, int, Event]] = []
-
-    # ------------------------------------------------------------------
-    # scheduling — cancellable handles
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` ns from now.
-
-        ``delay`` must be non-negative and finite; fractional delays are
-        rounded up so a nonzero delay never becomes zero.
-        """
-        if type(delay) is not int:
-            delay = _coerce_delay(delay)
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(self.now + delay, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        heappush(self._heap, (ev.time, seq, ev))
-        return ev
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(self.now, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        heappush(self._heap, (ev.time, seq, ev))
-        return ev
-
-    # ------------------------------------------------------------------
-    # scheduling — fire-and-forget fast path (pooled, no handle)
-    # ------------------------------------------------------------------
-    def _carrier(self, time: int, seq: int, fn: Callable[..., Any], args: tuple) -> Event:
-        """Check a fire-and-forget carrier out of the free pool (or make
-        a fresh poolable one) — the acquisition half of the recycling
-        protocol, shared by all three ``post*`` entry points."""
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.alive = True
-        else:
-            ev = Event(time, seq, fn, args)
-            ev._pooled = True
-        return ev
-
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, carrier recycled."""
-        if type(delay) is not int:
-            delay = _coerce_delay(delay)
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = self._carrier(time, seq, fn, args)
-        self._live += 1
-        heappush(self._heap, (time, seq, ev))
-
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = self._carrier(time, seq, fn, args)
-        self._live += 1
-        heappush(self._heap, (time, seq, ev))
-
-    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`call_soon`."""
-        time = self.now
-        seq = self._seq
-        self._seq = seq + 1
-        ev = self._carrier(time, seq, fn, args)
-        self._live += 1
-        heappush(self._heap, (time, seq, ev))
-
-    def next_external_time(self, carriers: set) -> Optional[int]:
-        """See :meth:`Engine.next_external_time`.  Linear scan — the
-        heap core has no tier structure to exploit, and the scan runs
-        only on leap attempts (not per event)."""
-        best = None
-        for e in self._heap:
-            ev = e[2]
-            if not ev.alive or ev in carriers:
-                continue
-            if best is None or e[0] < best:
-                best = e[0]
-        return best
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or None if the heap is drained."""
-        self._skim()
-        return self._heap[0][0] if self._heap else None
-
-    def _skim(self) -> None:
-        """Pop dead events off the heap top, recycling pooled carriers
-        (dropping them would starve the pool under cancel-heavy load)."""
-        heap = self._heap
-        while heap and not heap[0][2].alive:
-            ev = heappop(heap)[2]
-            if ev._pooled:
-                self._recycle(ev)
-
-    def _fire(self, ev: Event) -> None:
-        """Run one popped live event (clock already advanced)."""
-        self.fired += 1
-        self._live -= 1
-        ev._engine = None
-        fn = ev.fn
-        args = ev.args
-        if ev._pooled:
-            ev.fn = ev.args = None  # drop references before the pool
-            if len(self._pool) < POOL_CAP:
-                self._pool.append(ev)
-        fn(*args)
-
-    def step(self) -> bool:
-        """Run the single next live event.  Returns False if none exist."""
-        self._skim()
-        if not self._heap:
-            return False
-        time, _, ev = heappop(self._heap)
-        if time < self.now:  # pragma: no cover - heap invariant guard
-            raise SimulationError("event heap produced a past event")
-        self.now = time
-        self._fire(ev)
-        return True
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the heap drains, ``until`` ns is reached, or
-        ``max_events`` callbacks fired.  Returns the virtual time.
-
-        Draining with blocked actors raises :class:`DeadlockError` — a
-        simulation that silently stops with threads still waiting is almost
-        always a bug in the caller's protocol.
-        """
-        if self._running:
-            raise SimulationError("engine.run() is not reentrant")
-        self._running = True
-        fired_at_entry = self.fired
-        heap = self._heap
-        pool = self._pool
-        pop = heappop
-        bounded = until is not None or max_events is not None
-        try:
-            if not bounded:
-                # Hot loop: no bound checks, locals only, :meth:`_fire`
-                # inlined (one Python call per event is measurable here).
-                # ``fired`` is accumulated in a local and flushed on every
-                # exit path — nothing reads it mid-run (callbacks only post
-                # events; counters are inspected after run() returns).
-                nfired = 0
-                try:
-                    while True:
-                        lp = self.leap
-                        if lp is not None and lp.armed:
-                            lp.attempt(None)
-                        if not heap:
-                            t = self._drained()
-                            if t is None:
-                                continue
-                            return t
-                        # Pop first, check liveness after: saves the peek
-                        # (heap[0][2] + .alive) that the common live event
-                        # would otherwise pay before its own pop.
-                        time, _, ev = pop(heap)
-                        if not ev.alive:
-                            if ev._pooled:  # recycle cancelled carriers too
-                                ev.fn = ev.args = None
-                                if len(pool) < POOL_CAP:
-                                    pool.append(ev)
-                            continue
-                        self.now = time
-                        nfired += 1
-                        self._live -= 1
-                        fn = ev.fn
-                        args = ev.args
-                        if ev._pooled:
-                            ev.fn = ev.args = None  # drop refs before pooling
-                            if len(pool) < POOL_CAP:
-                                pool.append(ev)
-                        else:
-                            # handles must forget the engine once fired, so a
-                            # late cancel() cannot corrupt the live count
-                            ev._engine = None
-                        fn(*args)
-                finally:
-                    self.fired += nfired
-            while True:
-                if max_events is not None and self.fired - fired_at_entry >= max_events:
-                    return self.now
-                # bounded-run leap: only without an event budget (a leap
-                # fires many events at once, uncountable against one)
-                lp = self.leap
-                if lp is not None and lp.armed and max_events is None:
-                    lp.attempt(until)
-                while heap:
-                    ev = heap[0][2]
-                    if ev.alive:
-                        break
-                    pop(heap)
-                    if ev._pooled:
-                        ev.fn = ev.args = None
-                        if len(pool) < POOL_CAP:
-                            pool.append(ev)
-                if not heap:
-                    t = self._drained()
-                    if t is None:
-                        continue
-                    return t
-                time = heap[0][0]
-                if until is not None and time > until:
-                    self.now = until
-                    return self.now
-                _, _, ev = pop(heap)
-                self.now = time
-                self.fired += 1
-                self._live -= 1
-                ev._engine = None
-                fn = ev.fn
-                args = ev.args
-                if ev._pooled:
-                    ev.fn = ev.args = None
-                    if len(pool) < POOL_CAP:
-                        pool.append(ev)
-                fn(*args)
-        finally:
-            self._running = False
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Engine now={self.now}ns pending={self.pending()} fired={self.fired}>"

@@ -26,12 +26,10 @@ busy time — lives in parallel lists (``_rqs``/``_cur``/``_preempt``/
 ``_busy``) indexed by core id rather than as attributes of the
 :class:`CoreState` objects, and the engine posts it pre-built
 ``(core_id, thread)`` args tuples interned on the thread.  Event posts
-on this path are inlined against the engine's queue layout (chosen by
-``engine.is_wheel``): same-instant events go to the wheel's ``_nowq``
-FIFO, short-horizon events heappush into the actively draining bucket
-(``t <= engine._aend``, one compare), and everything else takes the
-engine's ``_insert`` cold path — or a plain heap push on the legacy
-heap core.
+on this path are inlined against the engine's timer-wheel tiers:
+same-instant events go to the ``_nowq`` FIFO, short-horizon events
+heappush into the actively draining bucket (``t <= engine._aend``, one
+compare), and everything else takes the engine's ``_insert`` cold path.
 
 Doorbells
 ---------
@@ -365,10 +363,8 @@ class Scheduler:
                 if res is None:
                     ran = repeats = 0
                     contended = False
-                elif len(res) == 3:
+                else:
                     ran, repeats, contended = res
-                else:  # legacy 2-tuple hooks
-                    ran, repeats, contended = (res + (False,))[:3]
             if backoff is not None:
                 # streak of passes that completed nothing; any doorbell
                 # (_ring_arrive) resets it, so a submission snaps the
@@ -504,18 +500,13 @@ class Scheduler:
         self._rqs[cid].append(thread)
         cur = self._cur[cid]
         if cur is None:
-            # engine.post_soon inlined on the wheel core: a dispatch kick
-            # is a same-instant event, i.e. one FIFO append
+            # engine.post_soon inlined: a dispatch kick is a same-instant
+            # event, i.e. one FIFO append
             engine = self.engine
-            if engine.is_wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                engine._nowq.append(
-                    (engine.now, seq, self._dispatch, self._cid_args[cid])
-                )
-            else:
-                engine.post_soon(self._dispatch, cid)
+            seq = engine._seq
+            engine._seq = seq + 1
+            engine._live += 1
+            engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
         elif thread.prio < cur.prio:
             self._preempt[cid] = True
             if cur.spin_cancel is not None:
@@ -563,41 +554,24 @@ class Scheduler:
         seq = engine._seq
         engine._seq = seq + 1
         engine._live += 1
-        if engine.is_wheel:
-            if t == engine.now:
-                engine._nowq.append((t, seq, self._advance, nxt.adv_args))
-            elif t <= engine._aend:
-                heappush(engine._abuc, (t, seq, self._advance, nxt.adv_args))
-            else:
-                engine._insert((t, seq, self._advance, nxt.adv_args))
+        if t == engine.now:
+            engine._nowq.append((t, seq, self._advance, nxt.adv_args))
+        elif t <= engine._aend:
+            heappush(engine._abuc, (t, seq, self._advance, nxt.adv_args))
         else:
-            pool = engine._pool
-            if pool:
-                ev = pool.pop()
-                ev.time = t
-                ev.seq = seq
-                ev.fn = self._advance
-                ev.args = nxt.adv_args
-                ev.alive = True
-            else:
-                ev = Event(t, seq, self._advance, nxt.adv_args)
-                ev._pooled = True
-            heappush(engine._heap, (t, seq, ev))
+            engine._insert((t, seq, self._advance, nxt.adv_args))
 
     def _release_core(self, core_id: int) -> None:
         self._cur[core_id] = None
         self._preempt[core_id] = False
         if self._rqs[core_id]:
             engine = self.engine
-            if engine.is_wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                engine._nowq.append(
-                    (engine.now, seq, self._dispatch, self._cid_args[core_id])
-                )
-            else:
-                engine.post_soon(self._dispatch, core_id)
+            seq = engine._seq
+            engine._seq = seq + 1
+            engine._live += 1
+            engine._nowq.append(
+                (engine.now, seq, self._dispatch, self._cid_args[core_id])
+            )
 
     # -- keypoint hook injection ---------------------------------------
     def _maybe_inject_hook(
@@ -763,15 +737,12 @@ class Scheduler:
                     ev._pooled = True
                 ev._engine = engine
                 engine._live += 1
-                if engine.is_wheel:
-                    if t == now:
-                        engine._nowq.append((t, seq, None, ev))
-                    elif t <= engine._aend:
-                        heappush(engine._abuc, (t, seq, None, ev))
-                    else:
-                        engine._insert((t, seq, None, ev))
+                if t == now:
+                    engine._nowq.append((t, seq, None, ev))
+                elif t <= engine._aend:
+                    heappush(engine._abuc, (t, seq, None, ev))
                 else:
-                    heappush(engine._heap, (t, seq, ev))
+                    engine._insert((t, seq, None, ev))
                 thread.compute_event = (ev, now, slice_ns)
                 return
         self._exec(cid, thread, instr)
@@ -797,13 +768,10 @@ class Scheduler:
         self._rqs[cid].append(thread)
         self._cur[cid] = None
         engine = self.engine
-        if engine.is_wheel:
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._live += 1
-            engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
-        else:
-            engine.post_soon(self._dispatch, cid)
+        seq = engine._seq
+        engine._seq = seq + 1
+        engine._live += 1
+        engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
 
     def _cancel_spin(self, cid: int, thread: SimThread) -> None:
         """Preempt a busy-spinning thread (timer/priority): deregister its
@@ -851,26 +819,12 @@ class Scheduler:
         seq = engine._seq
         engine._seq = seq + 1
         engine._live += 1
-        if engine.is_wheel:
-            if t == engine.now:
-                engine._nowq.append((t, seq, self._advance, thread.adv_args))
-            elif t <= engine._aend:
-                heappush(engine._abuc, (t, seq, self._advance, thread.adv_args))
-            else:
-                engine._insert((t, seq, self._advance, thread.adv_args))
+        if t == engine.now:
+            engine._nowq.append((t, seq, self._advance, thread.adv_args))
+        elif t <= engine._aend:
+            heappush(engine._abuc, (t, seq, self._advance, thread.adv_args))
         else:
-            pool = engine._pool
-            if pool:
-                ev = pool.pop()
-                ev.time = t
-                ev.seq = seq
-                ev.fn = self._advance
-                ev.args = thread.adv_args
-                ev.alive = True
-            else:
-                ev = Event(t, seq, self._advance, thread.adv_args)
-                ev._pooled = True
-            heappush(engine._heap, (t, seq, ev))
+            engine._insert((t, seq, self._advance, thread.adv_args))
 
     def interrupt_compute(self, core_id: int) -> bool:
         """Interrupt the current thread's in-flight Compute slice (the
@@ -960,28 +914,13 @@ class Scheduler:
                     spun_ns = engine.now - start
                     thread.cpu_ns += spun_ns
                     self._busy[cid] += spun_ns
-                    # engine.post_soon inlined (one grant per acquisition)
+                    # engine.post_soon inlined (one grant per acquisition):
+                    # a grant always lands at ``now``, so straight to the
+                    # same-instant FIFO
                     seq = engine._seq
                     engine._seq = seq + 1
-                    t = engine.now
                     engine._live += 1
-                    if engine.is_wheel:
-                        # a grant always lands at ``now``: straight to the
-                        # same-instant FIFO
-                        engine._nowq.append((t, seq, self._advance, thread.adv_args))
-                    else:
-                        pool = engine._pool
-                        if pool:
-                            ev = pool.pop()
-                            ev.time = t
-                            ev.seq = seq
-                            ev.fn = self._advance
-                            ev.args = thread.adv_args
-                            ev.alive = True
-                        else:
-                            ev = Event(t, seq, self._advance, thread.adv_args)
-                            ev._pooled = True
-                        heappush(engine._heap, (t, seq, ev))
+                    engine._nowq.append((engine.now, seq, self._advance, thread.adv_args))
                 else:  # pragma: no cover - defensive; cancel prevents this
                     raise RuntimeError(
                         f"lock {instr.lock.name!r} granted to descheduled "
@@ -1039,15 +978,12 @@ class Scheduler:
                     ev._pooled = True
                 ev._engine = engine
                 engine._live += 1
-                if engine.is_wheel:
-                    if ns == 0:
-                        engine._nowq.append((t, seq, None, ev))
-                    elif t <= engine._aend:
-                        heappush(engine._abuc, (t, seq, None, ev))
-                    else:
-                        engine._insert((t, seq, None, ev))
+                if ns == 0:
+                    engine._nowq.append((t, seq, None, ev))
+                elif t <= engine._aend:
+                    heappush(engine._abuc, (t, seq, None, ev))
                 else:
-                    heappush(engine._heap, (t, seq, ev))
+                    engine._insert((t, seq, None, ev))
                 thread.sleep_event = ev
                 self._block(cid, thread, "sleep")
                 # an idle thread re-entering its sleeping steady state is
@@ -1068,15 +1004,10 @@ class Scheduler:
             self._cur[cid] = None
             self._preempt[cid] = False
             engine = self.engine
-            if engine.is_wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                engine._nowq.append(
-                    (engine.now, seq, self._dispatch, self._cid_args[cid])
-                )
-            else:
-                engine.post_soon(self._dispatch, cid)
+            seq = engine._seq
+            engine._seq = seq + 1
+            engine._live += 1
+            engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
         elif cls is SpinOn:
             cost = instr.flag.read(cid)
             if instr.flag.is_set:

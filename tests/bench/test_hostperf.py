@@ -35,21 +35,10 @@ def test_quick_matrix_shape(quick_report):
         "fault_net",
         "fault_slowcore",
         "fault_storm",
-        "core_wheel",
-        "core_heap",
         "cluster_shard2",
     ]
     assert quick_report.total_events > 0
     assert quick_report.aggregate_events_per_sec > 0
-
-
-def test_core_pair_simulates_identically(quick_report):
-    """core_wheel and core_heap run the same seeded storm on the two
-    event cores; the simulated outcome must not depend on the core."""
-    wheel = quick_report.scenario("core_wheel")
-    heap = quick_report.scenario("core_heap")
-    assert wheel.fingerprint == heap.fingerprint
-    assert wheel.virtual_ns == heap.virtual_ns
 
 
 def test_idle_spin_pair_simulates_identically(quick_report):
@@ -140,12 +129,11 @@ def test_matrix_specs_carry_seeds_and_names():
         "micro_local", "micro_global", "latency_mt",
         "scal_numa32", "cluster_ring", "idle_spin", "idle_spin_nosummary",
         "leap_on", "leap_off",
-        "fault_net", "fault_slowcore", "fault_storm",
-        "core_wheel", "core_heap", "cluster_shard2",
+        "fault_net", "fault_slowcore", "fault_storm", "cluster_shard2",
     ]
     # the seed lives in the spec, fixed before any worker runs
     assert [s.kwargs["seed"] for s in specs] == [
-        7, 8, 9, 10, 11, 12, 12, 17, 17, 13, 14, 15, 16, 16, 18,
+        7, 8, 9, 10, 11, 12, 12, 17, 17, 13, 14, 15, 18,
     ]
 
 

@@ -11,12 +11,17 @@ flip a pass outcome depending on allocator history).
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.shard import ShardSpec, run_sharded, shard_of
 from repro.cluster.workload import WorkloadSpec, verify_completion
 from repro.faults import FaultPlan, NetFaults
+from repro.mpi import MadMPI
+from repro.obs.registry import MetricsRegistry
 from repro.par.pool import has_fork
+from repro.topology.builder import smp
 
 BUILDER = "repro.cluster.workload:build_workload_cluster"
+PLAIN_BUILDER = "tests.cluster.test_shard:build_plain_ring"
 
 
 def small_spec(**overrides) -> WorkloadSpec:
@@ -26,6 +31,36 @@ def small_spec(**overrides) -> WorkloadSpec:
     )
     base.update(overrides)
     return WorkloadSpec(**base)
+
+
+def build_plain_ring(shard=None, *, nnodes, msgs, seed, faults):
+    """A default-built cluster — default jittered IB driver, no build
+    option beyond the fault plan — where every node sends ``msgs`` eager
+    messages to its right neighbour and receives as many from its left."""
+    registry = MetricsRegistry()
+    cluster = Cluster(
+        nnodes, machine_factory=lambda: smp(1, 2), seed=seed,
+        registry=registry, faults=faults, shard=shard,
+    )
+    mpi = MadMPI(cluster)
+    for node in cluster.nodes:
+        rank = node.id
+        comm = mpi.comm(rank)
+        got = {"received": 0}
+        registry.register(f"ring.node{rank}", got)
+
+        def sender(ctx, comm=comm, rank=rank):
+            for i in range(msgs):
+                yield from comm.send(ctx.core_id, (rank + 1) % nnodes, i, 4096)
+
+        def receiver(ctx, comm=comm, rank=rank, got=got):
+            for i in range(msgs):
+                yield from comm.recv(ctx.core_id, (rank - 1) % nnodes, i)
+                got["received"] += 1
+
+        node.scheduler.spawn(sender, 0, name=f"send{rank}")
+        node.scheduler.spawn(receiver, 1, name=f"recv{rank}")
+    return cluster
 
 
 def run_one(spec, nshards, *, serial=True, faults=None, trace=True):
@@ -75,6 +110,21 @@ class TestIdentity:
         for k in (2, 4):
             assert runs[k].fingerprint() == ref.fingerprint()
         verify_completion(ref.snapshot, spec)
+
+    def test_default_cluster_shards_with_jitter_and_net_faults(self):
+        """A plain ``Cluster`` — jittered driver, net faults, no RNG-mode
+        option — runs as 2 serial shards bit-identically to 1 shard."""
+        plan = FaultPlan(seed=5, net=NetFaults(drop_p=0.1, reorder_p=0.2))
+        kwargs = {"nnodes": 4, "msgs": 6, "seed": 12, "faults": plan}
+        ref = run_sharded(PLAIN_BUILDER, kwargs, nshards=1, serial=True)
+        two = run_sharded(PLAIN_BUILDER, kwargs, nshards=2, serial=True)
+        received = sum(v for p, v in ref.snapshot.items() if p.startswith("ring."))
+        assert received == 4 * 6, "ring exchange incomplete"
+        drops = sum(v for p, v in ref.snapshot.items()
+                    if p.startswith("faults.") and p.endswith(".drops"))
+        assert drops > 0, "fault plan never fired — test is vacuous"
+        assert two.snapshot == ref.snapshot
+        assert two.fingerprint() == ref.fingerprint()
 
     def test_repeat_runs_in_one_process_are_stable(self):
         # Regression: the scan-pass dedup keyed on id(task); after enough

@@ -6,8 +6,8 @@ full metrics snapshot (no counters stripped), events fired, final
 virtual time, the engine's internal seq/live accounting and the
 scheduler's run-queue arrival numbering.  These tests drive randomized
 workloads across topologies (including the 24-core chiplet machine the
-leap was built for), fault plans and both engine cores, and assert that
-agreement to the bit.
+leap was built for) and fault plans, and assert that agreement to the
+bit.
 """
 
 import random
@@ -32,7 +32,6 @@ def _run(
     *,
     leap: bool,
     machine_name: str = "ccx24",
-    engine_core: str = "wheel",
     seed: int = 7,
     duration_us: int = 400,
     gaps_us=(25,),
@@ -42,7 +41,7 @@ def _run(
     """One seeded spin-polling run; returns every observable we gate on."""
     duration = duration_us * 1_000
     machine = MACHINES[machine_name]()
-    engine = Engine(core=engine_core)
+    engine = Engine()
     registry = MetricsRegistry()
     # NB: an empty Tracer is falsy (it has __len__), so `tracer or ...`
     # would silently drop an enabled-but-empty tracer
@@ -115,7 +114,7 @@ _PLANS = [
 
 
 def test_leap_identity_fuzz():
-    """Randomized sweep: topologies x engine cores x fault plans x seeds.
+    """Randomized sweep: topologies x fault plans x seeds.
 
     Config sampling is itself seeded, so a failure reproduces; each
     sampled config runs leap-on vs leap-off and must agree on every
@@ -127,7 +126,6 @@ def test_leap_identity_fuzz():
     for trial in range(8):
         cfg = dict(
             machine_name=rng.choice(["ccx24", "borderline", "kwak"]),
-            engine_core=rng.choice(["wheel", "heap"]),
             seed=rng.randrange(1_000_000),
             duration_us=rng.choice([200, 350, 500]),
             gaps_us=rng.choice([(25,), (40,), (15, 60), (10, 30, 80)]),
@@ -144,12 +142,11 @@ def test_leap_identity_fuzz():
     assert total_leaps > 0, "fuzz sweep never leaped — gates are too strict"
 
 
-@pytest.mark.parametrize("engine_core", ["wheel", "heap"])
-def test_leap_identity_ccx24_both_cores(engine_core):
+def test_leap_identity_ccx24():
     """The headline config: deep chiplet machine, long idle stretches.
-    Identity must hold on both engine cores and the leap must engage."""
-    on = _run(leap=True, engine_core=engine_core, duration_us=600)
-    off = _run(leap=False, engine_core=engine_core, duration_us=600)
+    Identity must hold and the leap must engage."""
+    on = _run(leap=True, duration_us=600)
+    off = _run(leap=False, duration_us=600)
     _assert_identical(on, off)
     assert on["leaps"] > 0
 

@@ -92,7 +92,9 @@ def test_lock_overlay_reallocates_wait_time():
 
 
 def _fault_cluster_run(tracer):
-    plan = FaultPlan(seed=42, net=NetFaults(drop_p=0.15, reorder_p=0.2))
+    # the seed must drop a frame whose retransmit lands on the critical
+    # path: many seeds drop only frames off it, which fails the test below
+    plan = FaultPlan(seed=8, net=NetFaults(drop_p=0.15, reorder_p=0.2))
     cl = Cluster(2, seed=7, tracer=tracer, faults=plan)
     mpi = MadMPI(cl)
     c0, c1 = mpi.comm(0), mpi.comm(1)

@@ -6,6 +6,11 @@ import math
 import pytest
 
 from repro.sim.engine import Engine
+from repro.sim.rng import Rng
+from repro.threads.instructions import Sleep
+from repro.threads.scheduler import Scheduler
+from repro.topology.builder import smp
+from tests.conftest import pooled_carrier
 
 
 def test_post_orders_with_schedule():
@@ -69,27 +74,31 @@ def test_fractional_delay_rounds_up():
 
 
 def test_pool_recycles_carriers():
-    """Fire-and-forget carriers are reused instead of reallocated.
-
-    Heap core only: the wheel core posts carrier-free tuples."""
-    eng = Engine(core="heap")
+    """Pooled cancellable carriers return to the free pool after firing,
+    and the scheduler's inlined sleeps check them out again instead of
+    allocating (fire-and-forget posts need no carrier at all)."""
+    eng = Engine()
     for _ in range(5):
-        eng.post(1, lambda: None)
+        pooled_carrier(eng, 1, lambda: None)
+    eng.post(1, lambda: None)
     eng.run()
     assert len(eng._pool) == 5
     ids = {id(ev) for ev in eng._pool}
-    for _ in range(5):
-        eng.post(1, lambda: None)
-    assert not eng._pool  # all five were taken back out
+
+    def sleeper(ctx):
+        for _ in range(5):
+            yield Sleep(100)
+
+    Scheduler(smp(1, 1), eng, rng=Rng(1)).spawn(sleeper, 0)
     eng.run()
     assert {id(ev) for ev in eng._pool} == ids
 
 
 def test_pooled_carrier_drops_references_after_fire():
-    eng = Engine(core="heap")
-    eng.post(1, lambda x: None, "payload")
+    eng = Engine()
+    ev = pooled_carrier(eng, 1, lambda x: None, "payload")
     eng.run()
-    (ev,) = eng._pool
+    assert eng._pool == [ev]
     assert ev.fn is None and ev.args is None
 
 
@@ -129,14 +138,13 @@ def test_cancelled_pooled_events_are_skipped_and_recycled():
     seen = []
     eng.post(1, seen.append, "first")
     eng.run()
-    # Reuse the pooled carrier through the handle-returning API by hand:
-    # post then cancel via a handle taken from schedule.
-    ev = eng.schedule(5, seen.append, "cancelled")
+    ev = pooled_carrier(eng, 5, seen.append, "cancelled")
     eng.post(9, seen.append, "last")
     ev.cancel()
     eng.run()
     assert seen == ["first", "last"]
     assert eng.fired == 2
+    assert eng._pool == [ev]
 
 
 def test_fired_counter_flushed_on_normal_return():

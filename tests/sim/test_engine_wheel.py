@@ -1,45 +1,41 @@
-"""Wheel-core equivalence and unit tests.
+"""Timer-wheel equivalence and unit tests.
 
-The wheel and heap cores must realize the exact same ``(time, seq)``
-total order: the randomized fuzz drives both with identical workloads —
-schedule/post/cancel mixes, same-tick ties, ``schedule_at`` far beyond
-the wheel horizon, cancellation mid-bucket — and asserts identical fire
-order, ``now``, ``fired`` and ``pending()`` at every step.  The unit
-tests pin down the wheel-specific machinery: window slides, overflow
-migration, the same-instant FIFO, bounded runs cutting a bucket in half,
-and the free-pool cap.
+The wheel must realize the exact ``(time, seq)`` total order that a
+plain binary heap defines: the randomized fuzz drives the engine and the
+test-only :class:`~tests.sim.refengine.HeapqEngine` with identical
+workloads — schedule/post/cancel mixes, same-tick ties, ``schedule_at``
+far beyond the wheel horizon, cancellation mid-bucket — and asserts
+identical fire order, ``now``, ``fired`` and ``pending()`` at every
+step.  The unit tests pin down the wheel machinery: window slides,
+overflow migration, the same-instant FIFO, bounded runs cutting a bucket
+in half, and the pooled cancellable carriers (free-pool cap, recycling
+on cancel and on ``peek_time``).
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import (
-    POOL_CAP,
-    WHEEL_SHIFT,
-    WHEEL_SLOTS,
-    Engine,
-    HeapEngine,
-    WheelEngine,
-)
+from repro.sim.engine import POOL_CAP, WHEEL_SHIFT, WHEEL_SLOTS, Engine
+from tests.conftest import pooled_carrier
+
+from .refengine import HeapqEngine
 
 HORIZON_NS = WHEEL_SLOTS << WHEEL_SHIFT
 
 
-def test_engine_dispatch():
-    assert isinstance(Engine(core="wheel"), WheelEngine)
-    assert isinstance(Engine(core="heap"), HeapEngine)
-    assert Engine(core="wheel").is_wheel
-    assert not Engine(core="heap").is_wheel
-    with pytest.raises(ValueError):
-        Engine(core="calendar")
+def test_engine_has_no_core_selector():
+    """One event core: the old ``core=`` selector is gone, not ignored."""
+    assert Engine().pending() == 0
+    with pytest.raises(TypeError):
+        Engine(core="heap")
 
 
 # ---------------------------------------------------------------------------
 # randomized equivalence fuzz
 # ---------------------------------------------------------------------------
 class _Driver:
-    """One scripted workload, replayable against either core.
+    """One scripted workload, replayable against either engine.
 
     Records every fired (tag, now) pair; the script itself only draws
     from its own Random instance, so two replays make identical calls.
@@ -103,8 +99,8 @@ class _Driver:
 @pytest.mark.parametrize("seed", [1, 7, 42, 1234, 99999])
 def test_fuzz_wheel_heap_equivalence_full_run(seed):
     states = []
-    for core in ("wheel", "heap"):
-        d = _Driver(Engine(core=core), seed)
+    for eng in (Engine(), HeapqEngine()):
+        d = _Driver(eng, seed)
         d.seed_work(120)
         d.eng.run()
         states.append(d.state())
@@ -113,9 +109,9 @@ def test_fuzz_wheel_heap_equivalence_full_run(seed):
 
 @pytest.mark.parametrize("seed", [3, 17, 2718])
 def test_fuzz_equivalence_stepwise(seed):
-    """Single-stepping must agree with the heap core at *every* event."""
-    dw = _Driver(Engine(core="wheel"), seed)
-    dh = _Driver(Engine(core="heap"), seed)
+    """Single-stepping must agree with the reference at *every* event."""
+    dw = _Driver(Engine(), seed)
+    dh = _Driver(HeapqEngine(), seed)
     dw.seed_work(60)
     dh.seed_work(60)
     while True:
@@ -131,8 +127,8 @@ def test_fuzz_equivalence_stepwise(seed):
 def test_fuzz_equivalence_bounded_runs(seed):
     """Alternating until/max_events bounded runs stay in lockstep,
     including bounds that cut a bucket (and an instant) in half."""
-    dw = _Driver(Engine(core="wheel"), seed)
-    dh = _Driver(Engine(core="heap"), seed)
+    dw = _Driver(Engine(), seed)
+    dh = _Driver(HeapqEngine(), seed)
     dw.seed_work(100)
     dh.seed_work(100)
     rng = random.Random(seed ^ 0xBEEF)
@@ -156,11 +152,10 @@ def test_fuzz_equivalence_bounded_runs(seed):
 
 def test_fuzz_cancellation_mid_bucket():
     """Cancel handles whose bucket is mid-drain: dead entries must be
-    skipped identically by both cores."""
+    skipped identically by both engines."""
     for seed in (11, 13):
         states = []
-        for core in ("wheel", "heap"):
-            eng = Engine(core=core)
+        for eng in (Engine(), HeapqEngine()):
             log = []
             handles = []
 
@@ -183,10 +178,10 @@ def test_fuzz_cancellation_mid_bucket():
 
 
 # ---------------------------------------------------------------------------
-# wheel-specific units
+# wheel units
 # ---------------------------------------------------------------------------
 def test_far_future_overflow_and_migration():
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
     eng.schedule_at(5 * HORIZON_NS, seen.append, "far")
     assert eng._over  # beyond the window: waits in the overflow heap
@@ -198,7 +193,7 @@ def test_far_future_overflow_and_migration():
 
 
 def test_window_slides_across_many_buckets():
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
     # one event per ~bucket across 4x the horizon: forces slides + jumps
     times = [i * 4096 + 17 for i in range(4 * WHEEL_SLOTS) if i % 3 == 0]
@@ -211,7 +206,7 @@ def test_window_slides_across_many_buckets():
 def test_same_instant_fifo_chains():
     """post_soon chains inside one instant fire in submission order and
     never advance the clock."""
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
 
     def chain(depth):
@@ -229,7 +224,7 @@ def test_same_instant_fifo_chains():
 def test_nowq_survives_between_runs():
     """A post_soon issued outside run() merges by (time, seq) with older
     wheel entries at the same time."""
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
     eng.post(50, seen.append, "a")
     eng.post(50, seen.append, "b")
@@ -241,7 +236,7 @@ def test_nowq_survives_between_runs():
 
 
 def test_until_cuts_bucket_in_half():
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
     for t in (100, 200, 300, 400):
         eng.post_at(t, seen.append, t)
@@ -253,7 +248,7 @@ def test_until_cuts_bucket_in_half():
 
 
 def test_max_events_stops_mid_instant():
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
     eng.post(10, seen.append, 1)
     eng.post(10, seen.append, 2)
@@ -265,33 +260,30 @@ def test_max_events_stops_mid_instant():
 
 
 def test_pool_cap_bounds_free_list():
-    eng = Engine(core="heap")
-    for _ in range(POOL_CAP + 500):
-        eng.post(1, lambda: None)
+    eng = Engine()
+    for i in range(POOL_CAP + 500):
+        ev = pooled_carrier(eng, 1 + i % 3, lambda: None)
+        if i % 2:
+            ev.cancel()  # fired and cancelled carriers both come back
     eng.run()
     assert len(eng._pool) == POOL_CAP
 
 
 def test_wheel_recycles_cancelled_pooled_carriers_on_peek():
     """peek_time must return dead pooled carriers to the pool, not drop
-    them (satellite: the old _skim leaked them)."""
-    eng = Engine(core="heap")
-    eng.post(1, lambda: None)
-    eng.run()
-    assert len(eng._pool) == 1
-    ev = eng.schedule(5, lambda: None)  # takes a non-pooled handle
-    eng._pool.clear()
-    # craft a pooled cancellable carrier like the scheduler's sleep path
-    ev2 = eng.schedule(3, lambda: None)
-    ev2._pooled = True
+    them — but never a caller-owned (unpooled) handle."""
+    eng = Engine()
+    ev = eng.schedule(5, lambda: None)
+    ev2 = pooled_carrier(eng, 3, lambda: None)
     ev2.cancel()
     ev.cancel()
     assert eng.peek_time() is None
-    assert len(eng._pool) == 1  # ev2 recycled, ev (caller-owned) not
+    assert eng._pool == [ev2]
+    assert ev2.fn is None and ev2.args is None
 
 
 def test_exception_keeps_remainder_queued_wheel():
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
 
     def boom():
@@ -309,7 +301,7 @@ def test_exception_keeps_remainder_queued_wheel():
 
 
 def test_exception_mid_instant_keeps_fifo_remainder():
-    eng = Engine(core="wheel")
+    eng = Engine()
     seen = []
 
     def boom():

@@ -1,38 +1,37 @@
-"""``Engine.next_external_time`` edge cases on both cores.
+"""``Engine.next_external_time`` edge cases.
 
 The quiescence leap and the shard coordinator both lean on this one
 read-only query: the earliest live queued event that is not an elidable
 idle carrier.  A wrong answer either stalls a shard window (too late) or
 violates the conservative-lookahead guarantee (too early), so the edge
-cases get pinned here on both cores: the empty-engine sentinel,
-overflow-heap-only wheel state, dead pooled carriers sitting at the
-head, carrier exclusion, and a randomized wheel-vs-heap agreement fuzz.
+cases get pinned here, on the engine and on the test-only plain-heap
+reference (:class:`~tests.sim.refengine.HeapqEngine`) that defines the
+answer: the empty-engine sentinel, overflow-heap-only wheel state, dead
+pooled carriers sitting at the head, carrier exclusion, and a randomized
+wheel-vs-reference agreement fuzz.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import (
-    WHEEL_SHIFT,
-    WHEEL_SLOTS,
-    Engine,
-    HeapEngine,
-    WheelEngine,
-)
+from repro.sim.engine import WHEEL_SHIFT, WHEEL_SLOTS, Engine
+
+from .refengine import HeapqEngine
 
 HORIZON_NS = WHEEL_SLOTS << WHEEL_SHIFT
 
-CORES = ("wheel", "heap")
+#: every edge case runs on the wheel and on the reference
+both = pytest.mark.parametrize("make", [Engine, HeapqEngine], ids=["wheel", "heap"])
 
 
 def _noop():
     pass
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_empty_engine_returns_none(core):
-    eng = Engine(core=core)
+@both
+def test_empty_engine_returns_none(make):
+    eng = make()
     assert eng.next_external_time(set()) is None
     # ... and after a drain, not just at birth
     eng.post(10, _noop)
@@ -40,9 +39,9 @@ def test_empty_engine_returns_none(core):
     assert eng.next_external_time(set()) is None
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_single_post_is_external(core):
-    eng = Engine(core=core)
+@both
+def test_single_post_is_external(make):
+    eng = make()
     eng.post(1234, _noop)
     assert eng.next_external_time(set()) == 1234
 
@@ -50,7 +49,7 @@ def test_single_post_is_external(core):
 def test_overflow_heap_only_wheel_state():
     """Every event beyond the wheel window: the wheel tiers are empty and
     the answer must come from the overflow heap alone."""
-    eng = WheelEngine()
+    eng = Engine()
     far = HORIZON_NS * 3 + 17
     eng.post_at(far + 500, _noop)
     eng.post_at(far, _noop)
@@ -62,7 +61,7 @@ def test_overflow_heap_only_wheel_state():
 
 def test_overflow_only_after_cancel_in_window():
     """Cancel the only in-window event; the overflow minimum wins."""
-    eng = WheelEngine()
+    eng = Engine()
     handle = eng.schedule(100, _noop)
     far = HORIZON_NS * 2
     eng.post_at(far, _noop)
@@ -70,11 +69,11 @@ def test_overflow_only_after_cancel_in_window():
     assert eng.next_external_time(set()) == far
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_dead_carriers_at_head_are_skipped(core):
+@both
+def test_dead_carriers_at_head_are_skipped(make):
     """Cancelled (pooled-dead) carriers at the queue head must not be
     reported — and the query must not pop or recycle them either."""
-    eng = Engine(core=core)
+    eng = make()
     dead = [eng.schedule(t, _noop) for t in (5, 6, 7)]
     eng.post(5_000, _noop)
     for handle in dead:
@@ -85,20 +84,20 @@ def test_dead_carriers_at_head_are_skipped(core):
     assert eng.pending() == before
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_all_dead_returns_none(core):
-    eng = Engine(core=core)
+@both
+def test_all_dead_returns_none(make):
+    eng = make()
     handles = [eng.schedule(t, _noop) for t in (3, 9, 27)]
     for handle in handles:
         handle.cancel()
     assert eng.next_external_time(set()) is None
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_carriers_are_excluded(core):
+@both
+def test_carriers_are_excluded(make):
     """Handles classified as idle carriers don't bound the leap; the
     first non-carrier behind them does."""
-    eng = Engine(core=core)
+    eng = make()
     carrier = eng.schedule(10, _noop)
     external = eng.schedule(400, _noop)
     assert eng.next_external_time(set()) == 10
@@ -109,7 +108,7 @@ def test_carriers_are_excluded(core):
 def test_same_instant_fifo_bounds_at_now():
     """A pending same-instant entry means the leap can't move at all:
     the wheel reports ``now`` without touching its calendar tiers."""
-    eng = WheelEngine()
+    eng = Engine()
     eng.post(50, _noop)
     eng.run()
     assert eng.now == 50
@@ -118,11 +117,11 @@ def test_same_instant_fifo_bounds_at_now():
     assert eng.next_external_time(set()) == 50
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_later_bucket_external_behind_carrier_bucket(core):
+@both
+def test_later_bucket_external_behind_carrier_bucket(make):
     """A bucket (or heap head) that is pure carriers must not hide an
     external event in a later bucket."""
-    eng = Engine(core=core)
+    eng = make()
     carriers = {eng.schedule(8, _noop), eng.schedule(12, _noop)}
     # far enough to land in a different wheel bucket
     eng.schedule((1 << WHEEL_SHIFT) * 3 + 5, _noop)
@@ -130,12 +129,12 @@ def test_later_bucket_external_behind_carrier_bucket(core):
 
 
 def test_randomized_wheel_heap_agreement():
-    """Both cores, same scripted workload: next_external_time must agree
-    at every checkpoint, for the empty carrier set and for a random
-    subset of live handles."""
+    """Wheel and reference, same scripted workload: next_external_time
+    must agree at every checkpoint, for the empty carrier set and for a
+    random subset of live handles."""
     for seed in range(12):
         rng = random.Random(3000 + seed)
-        engines = (WheelEngine(), HeapEngine())
+        engines = (Engine(), HeapqEngine())
         handle_pairs = []  # (wheel_handle, heap_handle)
         for _step in range(rng.randrange(10, 60)):
             op = rng.random()
@@ -157,13 +156,13 @@ def test_randomized_wheel_heap_agreement():
             elif op < 0.9:
                 bound = rng.randrange(0, HORIZON_NS)
                 fired = {eng.run(until=eng.now + bound) for eng in engines}
-                assert len(fired) == 1, "cores diverged while running"
+                assert len(fired) == 1, "engines diverged while running"
                 handle_pairs = [p for p in handle_pairs if p[0].alive]
             # checkpoint: plain and carrier-filtered queries agree
             wheel, heap = engines
             assert wheel.next_external_time(set()) == heap.next_external_time(
                 set()
-            ), f"seed {3000 + seed}: cores disagree"
+            ), f"seed {3000 + seed}: engines disagree"
             if handle_pairs:
                 k = rng.randrange(0, len(handle_pairs) + 1)
                 subset = rng.sample(handle_pairs, k)
