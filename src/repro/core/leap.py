@@ -42,6 +42,13 @@ non-primed cores, pending run-queue entries, and every fault lookahead
 barrier registered in ``scheduler.leap_barriers`` fall back to the slow
 path.
 
+When it is tried: the engine's run loop consults the leap at the first
+clock advance strictly past ``next_try``, the external event that
+bounded (or blocked) the previous attempt, so each quiet gap between
+external events gets an attempt as soon as it opens.  A span under two
+poll cycles is refused before the micro-merge, which is the expensive
+part of an attempt.
+
 Enablement: on by default when a :class:`~repro.core.manager.PIOMan`
 with the summary fast path attaches to a ``true_spin`` scheduler;
 ``REPRO_LEAP=0`` in the environment or
@@ -79,18 +86,18 @@ _ASLEEP, _MIDCYCLE = 0, 1
 class QuiescenceLeap:
     """One leap controller per engine, installed by :class:`PIOMan`.
 
-    The engine's run loop calls :meth:`attempt` between wheel buckets
-    when ``armed`` is set (the scheduler arms it whenever an idle thread
-    re-enters its sleeping steady state).  ``attempt`` re-validates
-    everything from scratch — arming is a cheap hint, never a proof.
+    The engine's run loop calls :meth:`attempt` at the first clock
+    advance strictly past ``next_try``: the external event that bounded
+    (or blocked) the previous attempt has fired, so the world may have
+    gone quiet again.  ``attempt`` re-validates everything from scratch
+    — the consult instant is a cheap schedule, never a proof.
     """
 
     __slots__ = (
         "engine",
         "sched",
         "manager",
-        "armed",
-        "min_cycles",
+        "next_try",
         "leaps",
         "cycles_elided",
     )
@@ -99,10 +106,9 @@ class QuiescenceLeap:
         self.engine = engine
         self.sched = sched
         self.manager = manager
-        self.armed = False
-        #: smallest total cycle count worth a leap: below this the
-        #: attempt's own bookkeeping costs more host time than it saves
-        self.min_cycles = 2
+        #: virtual time past which the next attempt is worth making; set
+        #: by every attempt (the first advance of a run consults)
+        self.next_try = -1
         # Host-side diagnostics only — deliberately NOT registered in any
         # metrics registry, so snapshots stay identical leap-on/leap-off.
         self.leaps = 0
@@ -115,11 +121,14 @@ class QuiescenceLeap:
         fire, so it enters the stop-time computation as ``hi + 1``).
         Every exit path leaves the simulation in a state the slow path
         could have produced; False means "nothing provably inert enough".
+        Sets ``next_try`` to the leap's bound whenever one is computed
+        (nothing can make the world quieter before that event fires),
+        else to the end of the wheel bucket being drained.
         """
-        self.armed = False
         sched = self.sched
         manager = self.manager
         engine = self.engine
+        self.next_try = engine._aend
         if (
             sched.tracer.enabled
             or manager.tracer.enabled
@@ -227,6 +236,11 @@ class QuiescenceLeap:
         if t_stop is None:
             # no external event and no bound: the slow path would spin
             # these carriers forever — preserve that behaviour
+            return False
+        self.next_try = t_stop
+        # Cost check before the merge (the expensive part): a span under
+        # two poll cycles replays too little to pay for it
+        if t_stop - engine.now < 2 * (plan[0][5] + period):
             return False
 
         # -- commit set ------------------------------------------------
@@ -343,10 +357,6 @@ class QuiescenceLeap:
                     for x in range(ncom):
                         wakes[x] += rem
                         adv2s[x] += rem
-        if sum(wakes) + sum(adv2s) < 2 * self.min_cycles:
-            # not worth the attempt bookkeeping — and nothing has been
-            # mutated yet (the merge is pure), so bailing is free
-            return False
 
         # -- apply: per-core batched accounting + fresh carriers -------
         # Accounting sides are split per cycle: the wake/dispatch/resume
@@ -424,7 +434,7 @@ class QuiescenceLeap:
                     nev._pooled = True
                 nev._engine = engine
                 engine._live += 1
-                engine._insert((ta, cseq, None, nev))
+                engine._enqueue((ta, cseq, None, nev))
                 idle.compute_event = (nev, wlast, c)
                 idle.sleep_event = None
                 idle.state = TState.RUNNING
@@ -453,7 +463,7 @@ class QuiescenceLeap:
                     nev._pooled = True
                 nev._engine = engine
                 engine._live += 1
-                engine._insert((st, ss, None, nev))
+                engine._enqueue((st, ss, None, nev))
                 idle.sleep_event = nev
                 idle.instr_start = last_adv2[i]
             if last_rq[i] >= 0:

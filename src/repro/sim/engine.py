@@ -58,6 +58,10 @@ WHEEL_MASK = WHEEL_SLOTS - 1
 #: scenario cannot retain an unbounded free list forever.
 POOL_CAP = 4096
 
+#: leap-consult threshold of runs that never consult the leap: later
+#: than any virtual time a run reaches
+_NEVER = 1 << 62
+
 class SimulationError(RuntimeError):
     """Base class for errors raised by the simulation substrate."""
 
@@ -176,7 +180,8 @@ class Engine:
         self.blocked_reporters: list[Callable[[], int]] = []
         #: quiescence-leap controller (:class:`repro.core.leap
         #: .QuiescenceLeap`), installed by PIOMan on eligible worlds;
-        #: the run loop consults it only when its ``armed`` hint is set.
+        #: the run loop consults it at the first clock advance strictly
+        #: past its ``next_try`` instant (read when a run starts).
         self.leap = None
         #: the wheel: one entry list per bucket slot (see Layout)
         self._slots: list[list[tuple]] = [[] for _ in range(WHEEL_SLOTS)]
@@ -262,6 +267,16 @@ class Engine:
                 insort(self._bidx, idx)
         else:
             heappush(self._over, e)
+
+    def _enqueue(self, e: tuple) -> None:
+        """Queue an entry with ``now < time`` in whichever tier holds it:
+        heappush into the live bucket while one drains and the entry
+        falls in it (a bare append there would break its heap order),
+        :meth:`_insert` otherwise."""
+        if e[0] <= self._aend:
+            heappush(self._abuc, e)
+        else:
+            self._insert(e)
 
     # ------------------------------------------------------------------
     # scheduling — cancellable handles
@@ -396,6 +411,12 @@ class Engine:
         the minimum, because inter-bucket order is time order — and only
         if the whole wheel is carrier-only, the overflow heap (every
         overflow time is >= every wheel time).
+
+        Exact between runs and while a bucket drains, at the run loop's
+        leap consult (the FIFO is empty there) and inside callbacks
+        fired off a bucket.  Inside a callback fired off the FIFO, the
+        instant's already-fired entries are still listed, so the answer
+        may be ``now`` — never later than the exact one.
         """
         for e in self._nowq:
             if e[2] is None:
@@ -519,6 +540,13 @@ class Engine:
         nfired = 0
         ndone = 0  # deferred _live decrements, flushed once in finally
         cur = self.now  # mirror of self.now: skip the store on time ties
+        # Quiescence leap: consulted at the first clock advance strictly
+        # past ``ntry`` (see the drain loop), never on budgeted runs — a
+        # leap fires many events per call, which a max_events bound must
+        # count one at a time.  Without a leap the check is one compare
+        # against a time no run reaches.
+        lp = self.leap
+        ntry = _NEVER if lp is None or budget is not None else lp.next_try
         bidx = self._bidx
         if self._nowq:
             # entries posted at ``now`` outside a run may tie with older
@@ -529,15 +557,6 @@ class Engine:
             while True:
                 if budget is not None and budget <= 0:
                     return self.now
-                # Quiescence leap: consulted between buckets (the idle
-                # steady state crosses a bucket boundary within one wheel
-                # turn, so the hint is seen promptly) and only on
-                # unbudgeted runs — a leap fires many events per call,
-                # which a max_events bound must count one at a time.
-                lp = self.leap
-                if lp is not None and lp.armed and budget is None and not nowq:
-                    if lp.attempt(hi):
-                        cur = self.now
                 if not bidx:
                     if over:
                         # wheel empty: jump the window to the overflow head
@@ -675,17 +694,29 @@ class Engine:
                                 return self.now
                             budget -= 1
                     t, s, fn, a = heappop(batch)
+                    if t != cur and (fn is not None or a.alive):
+                        # the clock advances (entering a new bucket
+                        # included): the one quiescence-leap consult
+                        # site.  The same-instant FIFO is empty here (it
+                        # drains before the batch head can move past
+                        # ``cur``).  The popped entry goes back first so
+                        # the leap's bound sees it, and the threshold
+                        # moves to at least ``t`` so a consult that
+                        # leaves the entry at the head cannot repeat.
+                        if t > ntry:
+                            heappush(batch, (t, s, fn, a))
+                            lp.attempt(hi)
+                            cur = self.now
+                            ntry = max(lp.next_try, t)
+                            continue
+                        self.now = cur = t
                     if fn is not None:
-                        if t != cur:
-                            self.now = cur = t
                         nfired += 1
                         ndone += 1
                         fn(*a)
                     else:
                         ev = a
                         if ev.alive:
-                            if t != cur:
-                                self.now = cur = t
                             nfired += 1
                             ndone += 1
                             ev._engine = None

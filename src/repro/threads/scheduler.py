@@ -960,7 +960,9 @@ class Scheduler:
                 # hottest event source.  The handle stays cancellable
                 # (doorbells cancel it), so the engine ref is kept for
                 # live-count upkeep; every cancel site drops the handle
-                # immediately, which keeps recycling safe.
+                # immediately, which keeps recycling safe.  An idle
+                # thread's carrier is what the quiescence leap elides;
+                # the engine, not this handler, decides when to try.
                 engine = self.engine
                 seq = engine._seq
                 engine._seq = seq + 1
@@ -986,13 +988,6 @@ class Scheduler:
                     engine._insert((t, seq, None, ev))
                 thread.sleep_event = ev
                 self._block(cid, thread, "sleep")
-                # an idle thread re-entering its sleeping steady state is
-                # the quiescence-leap trigger; arming is a hint only —
-                # attempt() re-proves eligibility from scratch
-                if thread.prio is Prio.IDLE:
-                    lp = engine.leap
-                    if lp is not None:
-                        lp.armed = True
             else:
                 thread.sleep_event = self.engine.schedule(ns, self._sleep_wake, thread)
                 self._block(cid, thread, f"sleep:{ns}")

@@ -8,7 +8,7 @@ far beyond the wheel horizon, cancellation mid-bucket — and asserts
 identical fire order, ``now``, ``fired`` and ``pending()`` at every
 step.  The unit tests pin down the wheel machinery: window slides,
 overflow migration, the same-instant FIFO, bounded runs cutting a bucket
-in half, and the pooled cancellable carriers (free-pool cap, recycling
+in half, mid-drain re-queues into the live bucket, and the pooled cancellable carriers (free-pool cap, recycling
 on cancel and on ``peek_time``).
 """
 
@@ -245,6 +245,30 @@ def test_until_cuts_bucket_in_half():
     assert eng.pending() == 2
     eng.run()
     assert seen == [100, 200, 300, 400]
+
+
+def test_enqueue_mid_drain_keeps_heap_order():
+    """``_enqueue`` (the quiescence leap's carrier re-arm) while a bucket
+    drains: entries landing in the live bucket merge by (time, seq) — a
+    bare append there would break the bucket's heap order."""
+    eng = Engine()
+    seen = []
+    times = [300, 400, 500, 600, 700, 800, 900]
+    for t in times:
+        eng.post_at(t, seen.append, t)
+    rearmed = [350, 5_000, 250, HORIZON_NS + 9]
+
+    def rearm():
+        for t in rearmed:
+            seq = eng._seq
+            eng._seq = seq + 1
+            eng._live += 1
+            eng._enqueue((t, seq, seen.append, (t,)))
+
+    eng.post_at(200, rearm)
+    eng.run()
+    assert seen == sorted(times + rearmed)
+    assert eng.pending() == 0
 
 
 def test_max_events_stops_mid_instant():

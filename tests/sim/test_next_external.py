@@ -7,8 +7,9 @@ violates the conservative-lookahead guarantee (too early), so the edge
 cases get pinned here, on the engine and on the test-only plain-heap
 reference (:class:`~tests.sim.refengine.HeapqEngine`) that defines the
 answer: the empty-engine sentinel, overflow-heap-only wheel state, dead
-pooled carriers sitting at the head, carrier exclusion, and a randomized
-wheel-vs-reference agreement fuzz.
+pooled carriers sitting at the head, carrier exclusion, and randomized
+wheel-vs-reference agreement fuzzes, between runs and mid-drain (at the
+run loop's leap consult and from inside callbacks).
 """
 
 import random
@@ -171,3 +172,102 @@ def test_randomized_wheel_heap_agreement():
                 assert wheel.next_external_time(wset) == heap.next_external_time(
                     hset
                 ), f"seed {3000 + seed}: carrier-filtered disagreement"
+
+
+class _ConsultProbe:
+    """Stand-in quiescence leap: answers every run-loop consult with
+    ``next_external_time`` (the popped entry pushed back, the live
+    bucket a heap) and records ``(now, answer)``; never leaps."""
+
+    def __init__(self, engine, carriers, rng):
+        self.engine = engine
+        self.carriers = carriers
+        self.rng = rng
+        self.next_try = -1
+        self.seen = []
+        self.tiers = set()
+
+    def attempt(self, hi):
+        eng = self.engine
+        # consults at one instant never repeat: the run loop's threshold
+        # moves past the advance target even when next_try lags it
+        assert not self.seen or eng.now > self.seen[-1][0], "consult repeated"
+        self.seen.append((eng.now, eng.next_external_time(self.carriers)))
+        if len(eng._abuc) > 1:
+            self.tiers.add("draining bucket")
+        if len(eng._bidx) > 1:
+            self.tiers.add("later bucket")
+        if eng._over:
+            self.tiers.add("overflow")
+        self.next_try = eng.now + self.rng.choice([0, 0, 300, 5_000])
+        return False
+
+
+def _mid_drain_script(eng, seed, log):
+    """Seeded callbacks that post, schedule and cancel across every tier
+    and query ``next_external_time`` from inside themselves, logging
+    ``(now, tag, fired off the same-instant FIFO, answer)``.  Returns
+    the carrier set (a fixed subset of the set-up handles)."""
+    rng = random.Random(seed)
+    handles = []
+    budget = [300]
+
+    def tick(tag, fifo):
+        log.append((eng.now, tag, fifo, eng.next_external_time(carriers)))
+        for _ in range(rng.randrange(0, 3) if budget[0] > 0 else 0):
+            budget[0] -= 1
+            delay = rng.choice([0, 1, 90, 700, 3_000, 4_100, 9_000, HORIZON_NS + 77])
+            if rng.random() < 0.5:
+                handles.append(eng.schedule(delay, tick, len(log), delay == 0))
+            else:
+                eng.post(delay, tick, -len(log), delay == 0)
+        if handles and rng.random() < 0.3:
+            handles.pop(rng.randrange(len(handles))).cancel()
+        log.append((eng.now, tag, fifo, eng.next_external_time(carriers)))
+
+    setup = [
+        eng.schedule(rng.randrange(0, HORIZON_NS * 2), tick, 1_000_000 + i, False)
+        for i in range(12)
+    ]
+    carriers = {h for h in setup if rng.random() < 0.4}
+    for i in range(8):
+        eng.post(rng.randrange(0, 20_000), tick, 2_000_000 + i, False)
+    return carriers
+
+
+def test_mid_drain_queries_match_reference():
+    """``next_external_time`` while a bucket drains — at the run loop's
+    leap consult and from inside callbacks — agrees with the reference
+    holding the same pending set, with live entries in the draining
+    bucket, later buckets and the overflow heap.
+
+    One documented exception: inside a callback fired off the
+    same-instant FIFO, the instant's already-fired entries are still
+    listed there, so the wheel may answer ``now`` — never later than
+    the exact answer, which keeps a leap bound conservative."""
+    tiers = set()
+    exact_batch = early = 0
+    for seed in range(10):
+        wheel, ref = Engine(), HeapqEngine()
+        wlog, rlog = [], []
+        wset = _mid_drain_script(wheel, seed, wlog)
+        rset = _mid_drain_script(ref, seed, rlog)
+        probe = wheel.leap = _ConsultProbe(wheel, wset, random.Random(seed))
+        wheel.run()
+        assert probe.seen, "the run loop never consulted the leap"
+        # the reference fires everything up to each consult instant
+        # (the consult sees the instant fully drained), then answers
+        for now, answer in probe.seen:
+            ref.run(until=now)
+            assert ref.next_external_time(rset) == answer, f"seed {seed} at t={now}"
+        ref.run()
+        assert [w[:3] for w in wlog] == [r[:3] for r in rlog], f"seed {seed}: fire order diverged"
+        for (now, tag, fifo, got), (_, _, _, exact) in zip(wlog, rlog):
+            if got != exact:
+                assert fifo and got == now, f"seed {seed} tag {tag}: {got} != {exact}"
+                early += 1
+            elif not fifo:
+                exact_batch += 1
+        tiers |= probe.tiers
+    assert tiers == {"draining bucket", "later bucket", "overflow"}
+    assert exact_batch, "no callback fired off a bucket queried"
