@@ -13,9 +13,15 @@ and reports, per shard count:
   host actually grants, so the committed ``BENCH_cluster_scale.json``
   stamps ``host_cpus`` next to the curve (a 1-CPU container timeshares
   forked shards and honestly reports ~1x).
-* **peak RSS per shard** — partitioning the world also partitions its
-  memory; the per-shard high-water mark is what lets N shards of a
-  100+-node world fit where one process would not.
+* **peak RSS per forked shard** — partitioning the world also
+  partitions its memory; the per-shard high-water mark is what lets N
+  shards of a 100+-node world fit where one process would not.  Shard 0
+  runs in this process, so its entry is 0 (its memory is this
+  process's own peak);
+* **shard telemetry** — each shard's summed in-window compute seconds
+  and the coordinator's summed wait for forked replies after its own
+  window: which shard straggled, and how long the barrier cost.  Host
+  diagnostics, never part of the fingerprint.
 
 The scenario completes or the bench fails: the merged snapshot must show
 every generated request issued *and* served
@@ -99,6 +105,8 @@ def run_cluster_scale(
                 "lookahead_ns": result.lookahead_ns,
                 "maxrss_kb_per_shard": result.maxrss_kb,
                 "shard_fired": result.shard_fired,
+                "shard_compute_s": [round(c, 3) for c in result.shard_compute_s],
+                "coordinator_wait_s": round(result.coordinator_wait_s, 3),
             }
         )
     reference = results[counts[0]] if counts[0] == 1 else None
@@ -149,14 +157,16 @@ def format_cluster_scale(report: dict) -> str:
         f"({spec['pattern']}/{spec['arrival']}, seed {spec['seed']}), "
         f"host_cpus={report['meta']['host_cpus']}",
         f"{'shards':>7}{'fired':>12}{'windows':>9}{'wall ms':>10}"
-        f"{'events/s':>11}{'speedup':>9}{'rss/shard MB':>14}  fingerprint",
+        f"{'events/s':>11}{'speedup':>9}{'max compute s':>14}{'wait s':>8}"
+        f"{'rss/fork MB':>13}  fingerprint",
     ]
     for p in report["points"]:
-        rss = max(p["maxrss_kb_per_shard"]) / 1024 if p["maxrss_kb_per_shard"] else 0
+        rss = max(p["maxrss_kb_per_shard"]) / 1024
         lines.append(
             f"{p['nshards']:>7}{p['fired']:>12}{p['windows']:>9}"
             f"{p['wall_ms']:>10.1f}{p['events_per_sec']:>11.0f}"
-            f"{p['speedup_vs_first']:>8.2f}x{rss:>13.1f}  "
+            f"{p['speedup_vs_first']:>8.2f}x{max(p['shard_compute_s']):>14.2f}"
+            f"{p['coordinator_wait_s']:>8.2f}{rss:>13.1f}  "
             f"{p['fingerprint'][:16]}…"
         )
     lines.append(
@@ -193,7 +203,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--machine", default="smp1x2",
                     help="per-node machine (default smp1x2)")
     ap.add_argument("--timeout", type=float, default=1800.0, metavar="S",
-                    help="per-window reply timeout per shard (default 1800)")
+                    help="per-window reply timeout per forked shard "
+                    "(default 1800)")
     args = ap.parse_args(argv)
     counts = sorted({1} | {int(x) for x in args.shards.split(",") if x})
     spec = default_spec(nnodes=args.nodes, seed=args.seed)

@@ -3,15 +3,15 @@
 * :class:`Cluster` / :class:`Node` — N simulated nodes on one virtual
   clock and fabric (optionally built as one shard of a larger world);
 * :mod:`repro.cluster.shard` — conservative-lookahead sharding: the
-  cluster partitioned over forked processes, bit-identical to the
-  single-process run;
+  cluster partitioned over K shards on K processes (the caller hosts
+  shard 0), bit-identical to the single-process run;
 * :mod:`repro.cluster.workload` — the seeded cluster-scale workload
   generator (open/closed-loop arrivals, bursty/diurnal modulation,
   incast fan-in, collective phases).
 """
 
-from repro.cluster.cluster import Cluster, Node
-from repro.cluster.shard import ShardRunResult, ShardSpec, run_sharded
+from repro.cluster.cluster import Cluster, Node, ShardSpec
+from repro.cluster.shard import ShardRunResult, run_sharded
 from repro.cluster.workload import WorkloadSpec, build_workload_cluster
 
 __all__ = [

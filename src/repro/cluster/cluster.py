@@ -7,9 +7,12 @@ cluster of 8-core Opteron boxes, each holding one Myri-10G and one
 ConnectX InfiniBand NIC, evaluated over InfiniBand (§V-B).
 
 A cluster can also be built as one **shard** of a larger simulated
-cluster (``shard=(index, count)``): node ids keep their global meaning,
-but only the ids owned by this shard (``id % count == index``) are
-instantiated locally.  Frames to non-local nodes leave through the
+cluster (``shard=ShardSpec(index, count)`` or ``(index, count)``): node
+ids keep their global meaning, but only the ids the :class:`ShardSpec`
+assigns to this shard are instantiated locally — round-robin
+(``id % count == index``) unless the spec carries an ownership table,
+which builders with traffic information compute with
+:meth:`ShardSpec.by_load`.  Frames to non-local nodes leave through the
 fabric's ``remote_sink`` — the conservative-lookahead coordinator in
 :mod:`repro.cluster.shard` carries them across processes.  Every RNG
 stream is per entity — wire jitter per source rail, probe phases and
@@ -19,7 +22,7 @@ land in different processes, and any cluster can run sharded.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.core.manager import PIOMan
@@ -35,6 +38,51 @@ from repro.sim.trace import NULL_TRACER, Tracer
 from repro.threads.scheduler import Scheduler
 from repro.topology.builder import borderline
 from repro.topology.machine import Machine
+
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """This process's slice of the node space.
+
+    ``owners[node_id]`` is the shard index that instantiates the node;
+    without a table ownership is round-robin, ``id % count == index``,
+    which splits a ring's links evenly across shards instead of giving
+    each shard one boundary link.  Every shard of a run must carry the
+    same table: the coordinator routes frames by the node lists the
+    shards report, so a disagreement would leave a node in two shards
+    (or none).
+    """
+
+    index: int
+    count: int
+    owners: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.count < 1 or not (0 <= self.index < self.count):
+            raise ValueError(f"bad shard spec {self.index}/{self.count}")
+        if self.owners is not None and not all(
+            0 <= k < self.count for k in self.owners
+        ):
+            raise ValueError(
+                f"ownership table names a shard outside 0..{self.count - 1}"
+            )
+
+    @classmethod
+    def by_load(cls, index: int, count: int, load: Sequence[int]) -> "ShardSpec":
+        """Deal node ids over the shards busiest first: sort by ``load``
+        (descending, ties by id), then assign round-robin.  Each shard
+        gets the same number of nodes ±1, and a uniform load keeps the
+        round-robin layout."""
+        order = sorted(range(len(load)), key=lambda i: (-load[i], i))
+        owners = [0] * len(load)
+        for rank, node_id in enumerate(order):
+            owners[node_id] = rank % count
+        return cls(index, count, tuple(owners))
+
+    def owns(self, node_id: int) -> bool:
+        if self.owners is None:
+            return node_id % self.count == self.index
+        return self.owners[node_id] == self.index
 
 
 class Node:
@@ -101,9 +149,10 @@ class Cluster:
 
     ``quiescence_leap`` selects the idle-poll fast-forward per cluster,
     without the ``REPRO_LEAP`` env game (A/B runs build two clusters side
-    by side).  ``shard=(index, count)`` instantiates only the nodes this
-    shard owns — see the module docstring.  In a sharded build,
-    ``nnodes`` stays the *global* node count.
+    by side).  ``shard`` (a :class:`ShardSpec` or ``(index, count)``)
+    instantiates only the nodes that shard owns: ``id % count == index``,
+    or the spec's ownership table when it has one (module docstring).  In
+    a sharded build, ``nnodes`` stays the *global* node count.
 
     A fault plan gets one injector per node (seed =
     ``derive_seed(plan.seed, "node{id}")``), registered under
@@ -130,10 +179,15 @@ class Cluster:
     ) -> None:
         if nnodes < 1:
             raise ValueError("need at least one node")
-        if shard is not None and not hasattr(shard, "owns"):
-            from repro.cluster.shard import ShardSpec
-
+        if shard is not None and not isinstance(shard, ShardSpec):
             shard = ShardSpec(*shard)
+        if shard is not None and shard.owners is not None and (
+            len(shard.owners) != nnodes
+        ):
+            raise ValueError(
+                f"ownership table covers {len(shard.owners)} nodes, "
+                f"cluster has {nnodes}"
+            )
         self.engine = Engine()
         self.rng = Rng(seed)
         self.fabric = Fabric(self.engine, rng=self.rng.fork(1))

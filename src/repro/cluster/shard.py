@@ -2,9 +2,10 @@
 
 The single-process interpreter is the scaling wall: one Python event
 loop advances every node of the simulated cluster.  This module
-partitions a :class:`~repro.cluster.cluster.Cluster`'s nodes across
-long-lived forked shard processes (a :class:`~repro.par.ShardPool`),
-each running its own :class:`~repro.sim.engine.Engine` over its nodes'
+partitions a :class:`~repro.cluster.cluster.Cluster`'s nodes across K
+shards on K processes (a :class:`~repro.par.ShardPool`): the calling
+process hosts shard 0 and K-1 forked processes host the rest, each
+shard running its own :class:`~repro.sim.engine.Engine` over its nodes'
 share of the fabric, synchronized by the classic conservative
 ("CMB-style") window protocol:
 
@@ -26,15 +27,23 @@ share of the fabric, synchronized by the classic conservative
   past; there is no rollback, and the execution is deterministic by
   construction.
 
+Which shard hosts a node is the builder's choice, made through the
+:class:`~repro.cluster.cluster.ShardSpec` it hands to ``Cluster``:
+round-robin by default, or an ownership table dealt from the spec's
+traffic (:func:`~repro.cluster.workload.build_workload_cluster` does
+this).  The coordinator routes frames by the node lists the shards
+report, so routing and instantiation read the same table.
+
 Identity, not just determinism: every RNG and id stream is per entity
 (wire jitter per source rail, probe phases and fault streams per node,
 per-NMad message ids), so every node computes exactly the same event
 sequence regardless of which process hosts it — any
 :class:`~repro.cluster.cluster.Cluster` can be sharded — and the union
 of the shards' metric snapshots and the multiset of their trace records
-are **bit-identical** to the single-process run at any shard count —
-``run_sharded(..., nshards=1)`` is the single-process reference, and the
-test suite and CI gate compare fingerprints across shard counts.
+are **bit-identical** to the single-process run at any shard count and
+under any ownership — ``run_sharded(..., nshards=1)`` is the
+single-process reference, and the test suite and CI gate compare
+fingerprints across shard counts.
 
 Blocked actors: a shard whose queue drains while threads wait on
 cross-shard receives is *not* deadlocked — the wake-up frame is in
@@ -42,6 +51,11 @@ flight.  The shard runner therefore masks the engine's per-window
 deadlock check and the coordinator re-asserts it globally: if the whole
 cluster drains with blocked actors somewhere, that is a real
 :class:`~repro.sim.engine.DeadlockError`.
+
+A shard that fails inside the window loop — an exception on the hosted
+shard or in a forked one, a death or a timeout — surfaces as
+:class:`~repro.par.ShardPoolError` naming the shard, the window index,
+the horizon, and a one-line serial reproducer.
 """
 
 from __future__ import annotations
@@ -53,37 +67,13 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.par import JobSpec, ShardPool
+from repro.cluster.cluster import ShardSpec
+from repro.par import JobSpec, ShardPool, ShardPoolError
 from repro.par.jobs import resolve_target
 from repro.sim.engine import DeadlockError
 
 #: tag for workload builders: positional signature is fn(shard=..., **kwargs)
 BuilderRef = str
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """This process's slice of the node space: ``id % count == index``.
-
-    Round-robin ownership (rather than contiguous blocks) balances
-    neighbor-heavy patterns — a ring of N nodes splits its links evenly
-    across shards instead of giving each shard one boundary link.
-    """
-
-    index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1 or not (0 <= self.index < self.count):
-            raise ValueError(f"bad shard spec {self.index}/{self.count}")
-
-    def owns(self, node_id: int) -> bool:
-        return node_id % self.count == self.index
-
-
-def shard_of(node_id: int, count: int) -> int:
-    """Which shard index owns ``node_id`` under round-robin ownership."""
-    return node_id % count
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +82,10 @@ def shard_of(node_id: int, count: int) -> int:
 class ShardRunner:
     """In-worker harness: one cluster shard advanced window by window.
 
-    Lives inside a :class:`~repro.par.ShardPool` worker (or in-process in
-    serial mode).  The coordinator talks to it exclusively through the
-    public methods, all of which return picklable data.
+    Lives in a :class:`~repro.par.ShardPool` state slot: in the calling
+    process for shard 0 (and for every shard in serial mode), in a
+    forked worker otherwise.  The coordinator talks to it exclusively
+    through the public methods, all of which return picklable data.
     """
 
     def __init__(self, cluster) -> None:
@@ -102,6 +93,8 @@ class ShardRunner:
         self.engine = cluster.engine
         self.fabric = cluster.fabric
         self.windows = 0
+        #: host seconds spent inside windows (injection + engine run)
+        self.compute_s = 0.0
         #: frames leaving this shard in the current window:
         #: (arrive_at, dst_node, driver_name, rail_index, frame)
         self._outbox: list[tuple] = []
@@ -116,6 +109,10 @@ class ShardRunner:
         )
 
     # -- protocol -------------------------------------------------------
+    def node_ids(self) -> tuple[int, list[int]]:
+        """``(global node count, ids of the nodes this shard hosts)``."""
+        return self.cluster.nnodes, sorted(self.cluster.node_by_id)
+
     def lookahead_ns(self) -> Optional[int]:
         """This shard's lower bound on cross-shard latency (None: no NICs)."""
         return self.fabric.min_lookahead_ns()
@@ -131,6 +128,7 @@ class ShardRunner:
         ``post_at`` — an arrival below ``engine.now`` would raise, which
         is exactly the lookahead-violation alarm we want.
         """
+        t0 = _time.perf_counter()
         for arrive_at, dst_node, driver_name, rail, frame in frames:
             nic = self.fabric.nic_of(dst_node, driver_name, rail)
             self.engine.post_at(arrive_at, nic._deliver, frame)
@@ -140,11 +138,13 @@ class ShardRunner:
         finally:
             self.engine.blocked_reporters = self._reporters
         self.windows += 1
+        self.compute_s += _time.perf_counter() - t0
         outbox, self._outbox = self._outbox, []
         return outbox, self.next_time(), self.engine.now, self.engine.fired
 
     def finalize(self) -> dict:
-        """End-of-run report: metrics, trace records, liveness, peak RSS."""
+        """End-of-run report: metrics, trace records, liveness, and the
+        host diagnostics (peak RSS, summed window compute seconds)."""
         registry = getattr(self.cluster, "registry", None)
         snapshot = registry.snapshot() if registry is not None else {}
         tracer = getattr(self.cluster, "tracer", None)
@@ -163,7 +163,6 @@ class ShardRunner:
             ]
             dropped = tracer.dropped
         return {
-            "nodes": sorted(self.cluster.node_by_id),
             "snapshot": snapshot,
             "trace_records": records,
             "trace_dropped": dropped,
@@ -172,6 +171,7 @@ class ShardRunner:
             "now": self.engine.now,
             "fired": self.engine.fired,
             "windows": self.windows,
+            "compute_s": self.compute_s,
             "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
 
@@ -202,7 +202,17 @@ def _make_runner(*, builder: str, kwargs: dict, index: int, count: int):
 # ----------------------------------------------------------------------
 @dataclass
 class ShardRunResult:
-    """Merged outcome of one sharded run."""
+    """Merged outcome of one sharded run.
+
+    ``maxrss_kb``, ``shard_compute_s`` and ``coordinator_wait_s`` are
+    host diagnostics, free to differ run to run; :meth:`fingerprint`
+    never reads them.  ``maxrss_kb[k]`` is forked shard *k*'s peak RSS,
+    and 0 for a shard hosted in the calling process, whose own peak
+    already covers it (so the caller's peak plus the sum counts every
+    process once).  ``shard_compute_s[k]`` is shard *k*'s summed
+    in-window host time; ``coordinator_wait_s`` is how long the caller
+    waited for forked replies after its own window, summed over windows.
+    """
 
     nshards: int
     serial: bool
@@ -218,6 +228,8 @@ class ShardRunResult:
     maxrss_kb: list = field(default_factory=list)
     shard_fired: list = field(default_factory=list)
     shard_nodes: list = field(default_factory=list)
+    shard_compute_s: list = field(default_factory=list)
+    coordinator_wait_s: float = 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -255,6 +267,8 @@ class ShardRunResult:
             "maxrss_kb": self.maxrss_kb,
             "shard_fired": self.shard_fired,
             "shard_nodes": self.shard_nodes,
+            "shard_compute_s": [round(c, 4) for c in self.shard_compute_s],
+            "coordinator_wait_s": round(self.coordinator_wait_s, 4),
         }
 
 
@@ -288,18 +302,21 @@ def run_sharded(
     lookahead_ns: Optional[int] = None,
     timeout_s: Optional[float] = 600.0,
 ) -> ShardRunResult:
-    """Simulate a cluster partitioned over ``nshards`` shard processes.
+    """Simulate a cluster partitioned over ``nshards`` shards: this
+    process hosts shard 0 and ``nshards - 1`` forked processes the rest.
 
     ``builder`` is a ``"pkg.mod:func"`` reference to a module-level
     function ``fn(shard: ShardSpec, **kwargs) -> Cluster`` that builds
-    the shard's slice of the world (it must pass ``shard`` through to
-    ``Cluster(...)`` and attach any registry/tracer to the cluster).
-    ``nshards=1`` is the single-process reference run — same builder,
-    same protocol, one shard, zero cross-shard frames.
+    the shard's slice of the world (it must pass ``shard`` — or a
+    :class:`ShardSpec` with the same index and count and an ownership
+    table — through to ``Cluster(...)`` and attach any registry/tracer
+    to the cluster).  ``nshards=1`` is the single-process reference run
+    — same builder, same protocol, one shard, nothing forked.
 
     ``serial=True`` keeps every shard in-process (deterministically
     identical, no speedup) — required when the caller itself lives in a
-    daemonic worker, which may not fork children.
+    daemonic worker, which may not fork children.  ``timeout_s`` bounds
+    each forked shard's reply.
 
     ``lookahead_ns`` overrides the fabric-derived lookahead; it may only
     *shrink* the window (a larger-than-physical lookahead would break
@@ -330,10 +347,13 @@ def run_sharded(
             lookahead = min(lookahead, int(lookahead_ns))
         if lookahead < 1:
             raise ValueError(f"non-positive lookahead {lookahead}ns")
+        node_reports = pool.broadcast("node_ids")
+        owner = _owner_map(node_reports)
         next_times = pool.broadcast("next_time")
         inboxes: list[list] = [[] for _ in range(nshards)]
         windows = 0
         drained = False
+        wait0 = pool.reply_wait_s
         while True:
             horizon_inputs = [t for t in next_times if t is not None]
             horizon_inputs += [
@@ -347,19 +367,30 @@ def run_sharded(
             hi = until if final else t_min + lookahead
             if until is not None and hi > until:
                 hi = until
-            replies = pool.scatter(
-                "window", [(inbox, hi) for inbox in inboxes]
-            )
+            try:
+                replies = pool.scatter(
+                    "window", [(inbox, hi) for inbox in inboxes]
+                )
+            except ShardPoolError as exc:
+                raise ShardPoolError(
+                    f"{exc.shard or 'a shard'} failed in window {windows} "
+                    f"(horizon {hi} ns)\nreproduce: run_sharded({builder!r}, "
+                    f"{dict(kwargs or {})!r}, nshards={nshards}, serial=True, "
+                    f"until={hi})\n{exc}",
+                    shard=exc.shard,
+                ) from (exc.__cause__ or exc)
             windows += 1
             inboxes = [[] for _ in range(nshards)]
             next_times = []
             for outbox, next_t, _now, _fired in replies:
                 next_times.append(next_t)
                 for entry in outbox:
-                    inboxes[shard_of(entry[1], nshards)].append(tuple(entry))
+                    inboxes[owner[entry[1]]].append(tuple(entry))
             if final:
                 break
+        wait_s = pool.reply_wait_s - wait0
         finals = pool.broadcast("finalize")
+        forked = [pid is not None for pid in pool.pids]
     wall_ms = (_time.perf_counter() - t0) * 1e3
 
     # An ``until``-capped exit legitimately leaves actors blocked on
@@ -387,7 +418,35 @@ def run_sharded(
         snapshot=union_snapshots([final["snapshot"] for final in finals]),
         trace_fingerprint=trace_fp,
         trace_records=trace_n,
-        maxrss_kb=[final["maxrss_kb"] for final in finals],
+        maxrss_kb=[
+            final["maxrss_kb"] if fork else 0
+            for final, fork in zip(finals, forked)
+        ],
         shard_fired=[final["fired"] for final in finals],
-        shard_nodes=[final["nodes"] for final in finals],
+        shard_nodes=[ids for _, ids in node_reports],
+        shard_compute_s=[final["compute_s"] for final in finals],
+        coordinator_wait_s=wait_s,
     )
+
+
+def _owner_map(reports: Sequence[tuple]) -> dict[int, int]:
+    """Node id -> shard index, from every shard's ``node_ids()`` report.
+
+    Frames are routed by what the shards actually instantiated, so
+    routing and ``Cluster`` read the same ownership table; a node that
+    two shards or no shard claims means their tables differ."""
+    owner: dict[int, int] = {}
+    for index, (_, ids) in enumerate(reports):
+        for node_id in ids:
+            if owner.setdefault(node_id, index) != index:
+                raise ValueError(
+                    f"node {node_id} is owned by shards {owner[node_id]} and "
+                    f"{index}: the shards' ownership tables differ"
+                )
+    nnodes = reports[0][0]
+    if len(owner) != nnodes:
+        raise ValueError(
+            f"{nnodes - len(owner)} of {nnodes} node(s) owned by no shard: "
+            "the shards' ownership tables differ"
+        )
+    return owner

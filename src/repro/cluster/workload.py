@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, ShardSpec
 from repro.par.jobs import derive_seed
 from repro.sim.rng import Rng
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -131,16 +131,28 @@ class WorkloadSpec:
         hi = max(lo, int(self.size_bytes * (1.0 + self.size_spread)))
         return rng.randint(lo, hi)
 
-    def inbound_counts(self) -> list[int]:
+    def inbound_counts(self, routes=None) -> list[int]:
         """Exact number of requests each node will receive — servers post
         exactly this many receives, so the run drains (no sentinel
-        shutdown messages needed)."""
+        shutdown messages needed).  ``routes`` is :meth:`routes`'s
+        result when the caller already has it."""
         counts = [0] * self.nnodes
-        for reqs in self.routes():
+        for reqs in self.routes() if routes is None else routes:
             for entry in reqs:
                 if entry is not None:
                     counts[entry[0]] += 1
         return counts
+
+    def message_counts(self, routes=None) -> list[int]:
+        """Requests each node sends plus receives: the load a sharded
+        build deals its nodes by (:meth:`ShardSpec.by_load
+        <repro.cluster.cluster.ShardSpec.by_load>`)."""
+        routes = self.routes() if routes is None else routes
+        inbound = self.inbound_counts(routes)
+        return [
+            inbound[i] + sum(entry is not None for entry in reqs)
+            for i, reqs in enumerate(routes)
+        ]
 
     def collective_rounds(self) -> int:
         if self.collective_every <= 0:
@@ -270,11 +282,17 @@ def build_workload_cluster(
 
     Builds the shard's slice of a ``spec.nnodes``-node cluster, wires a
     :class:`~repro.mpi.madmpi.MadMPI` stack over it and spawns the
-    client/server threads for every **local** node.  Per-node machines
-    default to a small SMP (2 chips x 2 cores) so 100+-node worlds stay
-    constructible; the registry and (optional) tracer are attached to
-    the returned cluster for :class:`~repro.cluster.shard.ShardRunner`
-    to collect.
+    client/server threads for every **local** node.  A sharded build
+    owns the nodes an ownership table assigns to ``shard.index``: node
+    ids dealt busiest first by :meth:`WorkloadSpec.message_counts`, so
+    incast sinks and hotspots spread over the shards — a pure function
+    of the spec, the same in every shard.  ``shard=None`` computes no
+    table.
+
+    Per-node machines default to a small SMP (2 chips x 2 cores) so
+    100+-node worlds stay constructible; the registry and (optional)
+    tracer are attached to the returned cluster for
+    :class:`~repro.cluster.shard.ShardRunner` to collect.
     """
     from repro.mpi.madmpi import MadMPI
     from repro.obs.registry import MetricsRegistry
@@ -287,6 +305,13 @@ def build_workload_cluster(
         raise ValueError(f"unknown machine {machine!r} (have {sorted(factories)})")
     registry = MetricsRegistry()
     tracer = Tracer(enabled=True, limit=trace_limit) if trace else NULL_TRACER
+    routes = spec.routes()
+    if shard is not None:
+        if not isinstance(shard, ShardSpec):
+            shard = ShardSpec(*shard)
+        shard = ShardSpec.by_load(
+            shard.index, shard.count, spec.message_counts(routes)
+        )
     cluster = Cluster(
         spec.nnodes,
         machine_factory=factories[machine],
@@ -298,8 +323,7 @@ def build_workload_cluster(
         shard=shard,
     )
     mpi = MadMPI(cluster)
-    routes = spec.routes()
-    inbound = spec.inbound_counts()
+    inbound = spec.inbound_counts(routes)
     for node in cluster.nodes:
         rank = node.id
         comm = mpi.comm(rank)

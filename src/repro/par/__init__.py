@@ -21,10 +21,12 @@ serial loop would have produced.
   clean in-process serial fallback (resolved ``jobs<=1`` or no ``fork``);
 * :func:`resolve_jobs` — ``0``/``"auto"``/``None`` → ``os.cpu_count()``,
   so every CLI and API jobs knob speaks the same dialect;
-* :class:`ShardPool` — the *stateful* sibling: long-lived forked workers
-  each holding a live state object (a cluster shard's engine + fabric),
-  serving method calls over pipes until closed — the substrate for
-  :mod:`repro.cluster.shard`'s window-synchronized parallel simulation.
+* :class:`ShardPool` — the *stateful* sibling: K long-lived states on K
+  processes, each a live object (a cluster shard's engine + fabric)
+  serving method calls until closed.  State 0 is hosted in the caller,
+  the rest live in forked workers behind pipes, so the caller computes
+  a share of every call — the substrate for :mod:`repro.cluster.shard`'s
+  window-synchronized parallel simulation.
 """
 
 from repro.par.jobs import JobFailure, JobResult, JobSpec, derive_seed, resolve_target

@@ -1,4 +1,4 @@
-"""Persistent forked workers holding live state — ``repro.par.shardpool``.
+"""Persistent workers holding live state — ``repro.par.shardpool``.
 
 :func:`repro.par.run_jobs` is one-shot by design: a process per job, no
 reuse, results merged at the end.  Sharded cluster simulation needs the
@@ -8,23 +8,27 @@ generators) alive across hundreds of synchronization windows, exchanging
 small messages with the coordinator at each barrier.  Tearing the world
 down and rebuilding it per window would dwarf the simulation itself.
 
-:class:`ShardPool` is that shape:
+:class:`ShardPool` is that shape, K states on K processes:
 
-* each worker is forked once, runs the spec's target to build its
-  **state object**, then serves method calls over its pipe until told to
-  stop — request/reply, strictly one outstanding call per worker;
-* :meth:`ShardPool.scatter` sends per-worker arguments to *all* workers
-  before collecting *any* reply, so shards genuinely run concurrently
-  within a window;
+* ``specs[0]``'s state is **hosted** — built and served in the calling
+  process — and every other spec gets a forked worker that runs the
+  spec's target to build its **state object**, then serves method calls
+  over its pipe until told to stop (request/reply, strictly one
+  outstanding call per worker).  The workers are forked before the
+  hosted state is built, so the builds overlap and no child inherits the
+  hosted world;
+* :meth:`ShardPool.scatter` writes every forked request, then calls the
+  hosted state, then reads every forked reply — the caller computes a
+  shard during each call instead of sleeping on pipes;
 * a worker that raises reports the exception in-band (with its remote
   traceback) and **stays alive** — simulation state is expensive, and a
   window-level protocol error should surface to the caller, not silently
-  rebuild the world;
-* ``serial=True`` (or a platform without ``fork``) keeps every state
-  object in-process and calls methods directly — the same oracle
-  equivalence :func:`run_jobs`'s serial fallback provides, and the only
-  mode available inside a daemonic ``run_jobs`` worker (daemons may not
-  fork children).
+  rebuild the world.  Every reply is read before the first error is
+  raised, so the pipes stay in step for the next call;
+* ``serial=True`` (or a platform without ``fork``) hosts every state
+  in-process — the same oracle equivalence :func:`run_jobs`'s serial
+  fallback provides, and the only mode available inside a daemonic
+  ``run_jobs`` worker (daemons may not fork children).
 
 Determinism is the caller's contract, same as :mod:`repro.par.pool`:
 state construction and every method call must depend only on the spec
@@ -47,7 +51,15 @@ _OK, _ERR = "ok", "err"
 
 
 class ShardPoolError(RuntimeError):
-    """A worker died, timed out, or could not build its state."""
+    """A worker raised, died, timed out, or could not build its state.
+
+    ``shard`` names the failing worker's spec when one worker is to
+    blame (``None`` for pool-level errors such as a closed pool).
+    """
+
+    def __init__(self, message: str, *, shard: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.shard = shard
 
 
 def _shard_entry(spec: JobSpec, conn) -> None:
@@ -91,17 +103,26 @@ def _shard_entry(spec: JobSpec, conn) -> None:
 
 
 class ShardPool:
-    """N long-lived stateful workers, one per spec, request/reply pipes.
+    """K long-lived stateful workers, one per spec: ``specs[0]`` hosted
+    in the caller, the rest forked (all hosted when ``serial``).
 
     ``specs[i]``'s target builds worker *i*'s state object; thereafter
     :meth:`call`, :meth:`broadcast` and :meth:`scatter` invoke methods on
-    it.  Construction blocks until every worker acks its build, so a
-    builder that raises fails the constructor — not the first window.
+    it.  Construction blocks until every state is built, so a builder
+    that raises fails the constructor with :class:`ShardPoolError` — not
+    the first window — after the forked workers are reaped.
 
-    ``timeout_s`` bounds every individual reply (None = unlimited).  Any
-    worker death or timeout poisons the pool: it raises
-    :class:`ShardPoolError` and every subsequent call raises too, because
-    a shard's state cannot be reconstructed mid-protocol.
+    ``timeout_s`` bounds every forked reply (None = unlimited); a hosted
+    call runs in the caller and cannot be bounded.  Any worker death or
+    timeout poisons the pool: it raises :class:`ShardPoolError` and every
+    subsequent call raises too, because a shard's state cannot be
+    reconstructed mid-protocol.  A method that raises — hosted or forked
+    — surfaces as :class:`ShardPoolError` naming the worker; a hosted
+    one is chained from the original exception.
+
+    ``reply_wait_s`` sums, over every :meth:`scatter`, the host seconds
+    spent reading forked replies after the hosted calls returned — how
+    long the caller sat on the barrier.
     """
 
     def __init__(
@@ -120,73 +141,87 @@ class ShardPool:
         self.n = len(specs)
         self.timeout_s = timeout_s
         self.serial = bool(serial) or not has_fork()
+        self.reply_wait_s = 0.0
         self._closed = False
         self._poisoned: Optional[str] = None
-        self._states: list[Any] = []
-        self._conns: list = []
-        self._procs: list = []
-        if self.serial:
-            self._states = [spec.run() for spec in self.specs]
-            return
-        ctx = multiprocessing.get_context("fork")
+        #: worker index -> live state object (hosted) or pipe + process
+        self._states: dict[int, Any] = {}
+        self._conns: dict[int, Any] = {}
+        self._procs: dict[int, Any] = {}
+        hosted = range(self.n) if self.serial else range(1)
         try:
-            for spec in self.specs:
-                parent_end, child_end = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=_shard_entry, args=(spec, child_end),
-                    name=f"repro-shard-{spec.name}", daemon=True,
-                )
-                proc.start()
-                child_end.close()
-                self._conns.append(parent_end)
-                self._procs.append(proc)
-            for i in range(self.n):
+            if not self.serial:
+                ctx = multiprocessing.get_context("fork")
+                for i in range(1, self.n):
+                    parent_end, child_end = ctx.Pipe(duplex=True)
+                    proc = ctx.Process(
+                        target=_shard_entry, args=(self.specs[i], child_end),
+                        name=f"repro-shard-{names[i]}", daemon=True,
+                    )
+                    proc.start()
+                    child_end.close()
+                    self._conns[i] = parent_end
+                    self._procs[i] = proc
+            for i in hosted:
+                try:
+                    self._states[i] = self.specs[i].run()
+                except Exception as exc:
+                    raise ShardPoolError(
+                        f"shard {names[i]!r} failed to build: "
+                        f"{type(exc).__name__}: {exc}",
+                        shard=names[i],
+                    ) from exc
+            for i in self._conns:
                 status, payload = self._recv(i)
                 if status != _OK:
                     raise ShardPoolError(
-                        f"shard {self.specs[i].name!r} failed to build: {payload}"
+                        f"shard {names[i]!r} failed to build: {payload}",
+                        shard=names[i],
                     )
         except BaseException:
             self._terminate()
             raise
+        self._pids = [
+            self._procs[i].pid if i in self._procs else None
+            for i in range(self.n)
+        ]
 
     @property
     def pids(self) -> list[Optional[int]]:
-        """Worker pids (``None`` per worker in serial mode)."""
-        if self.serial:
-            return [None] * self.n
-        return [proc.pid for proc in self._procs]
+        """Worker pids, ``None`` for every hosted (in-process) state."""
+        return list(self._pids)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _recv(self, index: int):
         conn = self._conns[index]
+        name = self.specs[index].name
         if self.timeout_s is not None:
             deadline = time.monotonic() + self.timeout_s
             while not conn.poll(min(0.2, self.timeout_s)):
                 if time.monotonic() >= deadline:
                     self._poison(
-                        f"shard {self.specs[index].name!r} reply timed out "
-                        f"after {self.timeout_s:g}s"
+                        f"shard {name!r} reply timed out "
+                        f"after {self.timeout_s:g}s", name,
                     )
                 if not self._procs[index].is_alive():
                     self._poison(
-                        f"shard {self.specs[index].name!r} died "
-                        f"(exit {self._procs[index].exitcode})"
+                        f"shard {name!r} died "
+                        f"(exit {self._procs[index].exitcode})", name,
                     )
         try:
             return conn.recv()
         except (EOFError, OSError):
             self._poison(
-                f"shard {self.specs[index].name!r} died "
-                f"(exit {self._procs[index].exitcode})"
+                f"shard {name!r} died (exit {self._procs[index].exitcode})",
+                name,
             )
 
-    def _poison(self, message: str):
+    def _poison(self, message: str, shard: Optional[str] = None):
         self._poisoned = message
         self._terminate()
-        raise ShardPoolError(message)
+        raise ShardPoolError(message, shard=shard)
 
     def _check(self) -> None:
         if self._poisoned is not None:
@@ -194,13 +229,32 @@ class ShardPool:
         if self._closed:
             raise ShardPoolError("pool is closed")
 
+    def _host(self, index: int, method: str, args, kwargs):
+        """Call a hosted state: ``(_OK, value)`` or ``(_ERR, exception)``.
+
+        Anything beyond an ``Exception`` (KeyboardInterrupt, SystemExit)
+        kills the forked workers: their replies would go unread."""
+        try:
+            return _OK, getattr(self._states[index], method)(*args, **kwargs)
+        except Exception as exc:
+            return _ERR, exc
+        except BaseException:
+            self._poisoned = "interrupted during a hosted call"
+            self._terminate()
+            raise
+
     def _unwrap(self, index: int, reply):
+        """A reply's value, or :class:`ShardPoolError` naming the worker."""
         status, payload = reply
-        if status != _OK:
+        if status == _OK:
+            return payload
+        name = self.specs[index].name
+        if isinstance(payload, BaseException):  # a hosted call raised
             raise ShardPoolError(
-                f"shard {self.specs[index].name!r} raised:\n{payload}"
-            )
-        return payload
+                f"shard {name!r} raised: {type(payload).__name__}: {payload}",
+                shard=name,
+            ) from payload
+        raise ShardPoolError(f"shard {name!r} raised:\n{payload}", shard=name)
 
     # ------------------------------------------------------------------
     # calls
@@ -208,8 +262,8 @@ class ShardPool:
     def call(self, index: int, method: str, *args, **kwargs):
         """Invoke ``method`` on worker ``index``'s state; return its value."""
         self._check()
-        if self.serial:
-            return getattr(self._states[index], method)(*args, **kwargs)
+        if index in self._states:
+            return self._unwrap(index, self._host(index, method, args, kwargs))
         self._conns[index].send((_CALL, method, args, kwargs))
         return self._unwrap(index, self._recv(index))
 
@@ -223,9 +277,10 @@ class ShardPool:
         args_per_worker: Sequence[tuple],
         kwargs_per_worker: Optional[Sequence[dict]] = None,
     ) -> list:
-        """Invoke ``method`` with per-worker arguments; all requests are
-        written before any reply is read, so forked workers overlap.
-        Returns values in worker order."""
+        """Invoke ``method`` with per-worker arguments; returns values in
+        worker order.  Forked requests are written first, then the
+        hosted states are called, then every forked reply is read, so
+        the caller computes while the forked workers do."""
         self._check()
         if len(args_per_worker) != self.n:
             raise ValueError(
@@ -234,55 +289,57 @@ class ShardPool:
             )
         if kwargs_per_worker is None:
             kwargs_per_worker = [{}] * self.n
-        if self.serial:
-            return [
-                getattr(state, method)(*args, **kwargs)
-                for state, args, kwargs in zip(
-                    self._states, args_per_worker, kwargs_per_worker
-                )
-            ]
-        for conn, args, kwargs in zip(
-            self._conns, args_per_worker, kwargs_per_worker
-        ):
-            conn.send((_CALL, method, tuple(args), dict(kwargs)))
-        return [
-            self._unwrap(i, self._recv(i)) for i in range(self.n)
-        ]
+        for i, conn in self._conns.items():
+            conn.send(
+                (_CALL, method, tuple(args_per_worker[i]),
+                 dict(kwargs_per_worker[i]))
+            )
+        replies: list = [None] * self.n
+        for i in self._states:
+            replies[i] = self._host(
+                i, method, args_per_worker[i], kwargs_per_worker[i]
+            )
+        if self._conns:
+            t0 = time.perf_counter()
+            for i in self._conns:
+                replies[i] = self._recv(i)
+            self.reply_wait_s += time.perf_counter() - t0
+        # every reply is in: raise the first failure in worker order
+        return [self._unwrap(i, reply) for i, reply in enumerate(replies)]
 
     # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
     def _terminate(self) -> None:
-        for conn in self._conns:
+        for conn in self._conns.values():
             try:
                 conn.close()
             except Exception:
                 pass
-        for proc in self._procs:
+        for proc in self._procs.values():
             if proc.is_alive():
                 proc.terminate()
                 proc.join(5.0)
                 if proc.is_alive():
                     proc.kill()
             proc.join()
-        self._conns, self._procs = [], []
+        self._conns, self._procs = {}, {}
+        self._states = {}
 
     def close(self) -> None:
         """Stop every worker (graceful stop, then terminate stragglers)."""
         if self._closed:
             return
         self._closed = True
-        if self.serial or self._poisoned is not None:
-            self._states = []
-            return
-        for conn in self._conns:
-            try:
-                conn.send((_STOP,))
-            except Exception:
-                pass
-        deadline = time.monotonic() + 5.0
-        for proc in self._procs:
-            proc.join(max(0.0, deadline - time.monotonic()))
+        if self._poisoned is None:
+            for conn in self._conns.values():
+                try:
+                    conn.send((_STOP,))
+                except Exception:
+                    pass
+            deadline = time.monotonic() + 5.0
+            for proc in self._procs.values():
+                proc.join(max(0.0, deadline - time.monotonic()))
         self._terminate()
 
     def __enter__(self) -> "ShardPool":

@@ -6,22 +6,35 @@ merged metric snapshot and the multiset of trace records are
 on or off, forked or serial — and stable across repeated runs in one
 process (a regression guard for heap-layout-dependent behaviour: the
 scan-pass dedup used to key on ``id(task)``, so a recycled address could
-flip a pass outcome depending on allocator history).
+flip a pass outcome depending on allocator history).  Around it: the
+ownership table the workload builder deals from the spec's traffic, the
+hosted shard 0 (K shards on K processes), the host-side telemetry the
+fingerprint ignores, and window failures that name where they happened.
 """
+
+import os
 
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.shard import ShardSpec, run_sharded, shard_of
-from repro.cluster.workload import WorkloadSpec, verify_completion
+from repro.cluster.shard import ShardSpec, run_sharded
+from repro.cluster.workload import (
+    WorkloadSpec,
+    build_workload_cluster,
+    verify_completion,
+)
 from repro.faults import FaultPlan, NetFaults
 from repro.mpi import MadMPI
 from repro.obs.registry import MetricsRegistry
+from repro.par import ShardPoolError
 from repro.par.pool import has_fork
+from repro.threads.instructions import Sleep
 from repro.topology.builder import smp
 
 BUILDER = "repro.cluster.workload:build_workload_cluster"
 PLAIN_BUILDER = "tests.cluster.test_shard:build_plain_ring"
+
+needs_fork = pytest.mark.skipif(not has_fork(), reason="platform cannot fork")
 
 
 def small_spec(**overrides) -> WorkloadSpec:
@@ -63,6 +76,46 @@ def build_plain_ring(shard=None, *, nnodes, msgs, seed, faults):
     return cluster
 
 
+def build_pid_ring(shard=None, **kwargs):
+    """The plain ring, plus the pid of the process that built each shard."""
+    cluster = build_plain_ring(shard, **kwargs)
+    index = 0 if shard is None else shard.index
+    cluster.registry.register(f"pid.shard{index}", {"pid": os.getpid()})
+    return cluster
+
+
+def build_failing_ring(shard=None, *, fail_node, fail_at_ns, **kwargs):
+    """The plain ring, where node ``fail_node`` runs a thread that raises
+    at virtual time ``fail_at_ns``."""
+    cluster = build_plain_ring(shard, **kwargs)
+    node = cluster.node_by_id.get(fail_node)
+    if node is not None:
+        def saboteur(ctx):
+            yield Sleep(fail_at_ns)
+            raise RuntimeError(f"planted failure at {ctx.now} ns")
+
+        node.scheduler.spawn(saboteur, 0, name="saboteur")
+    return cluster
+
+
+def build_disagreeing(shard=None, **kwargs):
+    """Each shard deals by a different load: their tables disagree."""
+    skewed = ShardSpec.by_load(
+        shard.index, shard.count, [shard.index == i for i in range(4)]
+    )
+    return build_plain_ring(skewed, **kwargs)
+
+
+def incast_spec(**overrides) -> WorkloadSpec:
+    base = dict(
+        nnodes=64, requests_per_node=8, pattern="incast", incast_fanin=8,
+        arrival="closed", mean_gap_ns=0, think_ns=100_000, size_bytes=1024,
+        collective_every=4, seed=7,
+    )
+    base.update(overrides)
+    return WorkloadSpec(**base)
+
+
 def run_one(spec, nshards, *, serial=True, faults=None, trace=True):
     kwargs = {"spec": spec, "machine": "smp1x2", "trace": trace,
               "faults": faults}
@@ -71,10 +124,12 @@ def run_one(spec, nshards, *, serial=True, faults=None, trace=True):
 
 class TestShardSpec:
     def test_round_robin_ownership(self):
+        """Without a table, ownership is ``id % count``."""
         spec = ShardSpec(1, 3)
         owned = [i for i in range(12) if spec.owns(i)]
         assert owned == [1, 4, 7, 10]
-        assert all(shard_of(i, 3) == i % 3 for i in range(12))
+        cluster = Cluster(12, machine_factory=lambda: smp(1, 2), shard=(1, 3))
+        assert sorted(cluster.node_by_id) == owned
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -83,6 +138,72 @@ class TestShardSpec:
             ShardSpec(-1, 2)
         with pytest.raises(ValueError):
             ShardSpec(0, 0)
+        with pytest.raises(ValueError, match="outside"):
+            ShardSpec(0, 2, owners=(0, 1, 2))
+        with pytest.raises(ValueError, match="covers 3 nodes"):
+            Cluster(4, machine_factory=lambda: smp(1, 2),
+                    shard=ShardSpec(0, 2, owners=(0, 1, 0)))
+
+
+class TestOwnershipTable:
+    def test_by_load_deals_busiest_first_and_balances_counts(self):
+        load = [5, 9, 9, 1, 0, 7, 3]
+        owners = [ShardSpec.by_load(0, 3, load).owners[i] for i in range(7)]
+        # order by (-load, id): 1, 2, 5, 0, 6, 3, 4 -> shards 0, 1, 2, 0, 1, 2, 0
+        assert owners == [0, 0, 1, 2, 0, 2, 1]
+        for count in (2, 3, 4, 5):
+            table = ShardSpec.by_load(0, count, load).owners
+            sizes = [table.count(k) for k in range(count)]
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_incast_spreads_the_sinks(self):
+        spec = incast_spec()
+        owned = [
+            set(build_workload_cluster(
+                ShardSpec(k, 2), spec=spec, machine="smp1x2"
+            ).node_by_id)
+            for k in range(2)
+        ]
+        sinks = set(range(0, spec.nnodes, spec.incast_fanin))
+        assert [len(ids & sinks) for ids in owned] == [4, 4]
+        assert [len(ids) for ids in owned] == [32, 32]
+
+    def test_ring_keeps_round_robin(self):
+        spec = small_spec(nnodes=10)
+        for count in (2, 3, 4):
+            table = ShardSpec.by_load(0, count, spec.message_counts()).owners
+            assert table == tuple(i % count for i in range(spec.nnodes))
+
+    def test_every_shard_computes_the_same_table(self):
+        spec = small_spec(nnodes=12, pattern="hotspot", arrival="open")
+        clusters = [
+            build_workload_cluster(ShardSpec(k, 3), spec=spec, machine="smp1x2")
+            for k in range(3)
+        ]
+        tables = {c.shard.owners for c in clusters}
+        assert len(tables) == 1 and None not in tables
+        (table,) = tables
+        for k, cluster in enumerate(clusters):
+            assert sorted(cluster.node_by_id) == [
+                i for i in range(spec.nnodes) if table[i] == k
+            ]
+        # node 0, the hotspot, is the busiest and is dealt first
+        assert table[0] == 0
+
+    def test_unsharded_build_computes_no_table(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unsharded build computed a table")
+
+        monkeypatch.setattr(ShardSpec, "by_load", forbidden)
+        monkeypatch.setattr(WorkloadSpec, "message_counts", forbidden)
+        cluster = build_workload_cluster(None, spec=small_spec(), machine="smp1x2")
+        assert cluster.shard is None
+
+    def test_coordinator_rejects_disagreeing_tables(self):
+        kwargs = {"nnodes": 4, "msgs": 1, "seed": 1, "faults": None}
+        with pytest.raises(ValueError, match="ownership tables differ"):
+            run_sharded("tests.cluster.test_shard:build_disagreeing", kwargs,
+                        nshards=2, serial=True)
 
 
 class TestIdentity:
@@ -137,13 +258,34 @@ class TestIdentity:
         assert again.fingerprint() == first.fingerprint()
         assert all(r.fingerprint() == first.fingerprint() for r in keep_alive)
 
-    @pytest.mark.skipif(not has_fork(), reason="platform cannot fork")
+    @needs_fork
     def test_forked_matches_serial(self):
         spec = small_spec(seed=4)
         serial = run_one(spec, 2, serial=True)
         forked = run_one(spec, 2, serial=False)
         assert forked.fingerprint() == serial.fingerprint()
         assert forked.snapshot == serial.snapshot
+        # host telemetry differs run to run; the fingerprint never reads it
+        assert serial.coordinator_wait_s == 0.0
+        assert forked.coordinator_wait_s > 0.0
+        assert len(forked.shard_compute_s) == 2
+        assert all(c > 0.0 for c in forked.shard_compute_s)
+
+    def test_fingerprint_ignores_host_diagnostics(self):
+        result = run_one(small_spec(), 2)
+        before = result.fingerprint()
+        result.maxrss_kb = [123, 456]
+        result.shard_compute_s = [9.0, 9.0]
+        result.coordinator_wait_s = 9.0
+        result.wall_ms = 1.0
+        assert result.fingerprint() == before
+
+    def test_incast_layout_balances_the_events(self):
+        spec = incast_spec(nnodes=16, requests_per_node=4)
+        result = run_one(spec, 2, trace=False)
+        low, high = sorted(result.shard_fired)
+        assert high / low < 1.05
+        assert result.fingerprint() == run_one(spec, 1, trace=False).fingerprint()
 
     def test_partition_is_disjoint(self):
         # union_snapshots raises on overlap; also check node coverage
@@ -183,6 +325,52 @@ class TestProtocol:
     def test_nshards_must_be_positive(self):
         with pytest.raises(ValueError):
             run_sharded(BUILDER, {"spec": small_spec()}, nshards=0)
+
+    @needs_fork
+    def test_two_shards_fork_exactly_one_process(self):
+        kwargs = {"nnodes": 4, "msgs": 2, "seed": 3, "faults": None}
+        result = run_sharded("tests.cluster.test_shard:build_pid_ring", kwargs,
+                             nshards=2)
+        pids = {result.snapshot[f"pid.shard{k}.pid"] for k in range(2)}
+        assert result.snapshot["pid.shard0.pid"] == os.getpid()
+        assert len(pids - {os.getpid()}) == 1
+        # the hosted shard's memory is the caller's peak: reported as 0
+        assert result.maxrss_kb[0] == 0 and result.maxrss_kb[1] > 0
+
+    @pytest.mark.parametrize(
+        "serial,fail_node",
+        [(True, 1), pytest.param(False, 0, marks=needs_fork),
+         pytest.param(False, 1, marks=needs_fork)],
+        ids=["serial", "forked-hosted", "forked-child"],
+    )
+    def test_window_failure_names_shard_window_and_horizon(self, serial, fail_node):
+        builder = "tests.cluster.test_shard:build_failing_ring"
+        kwargs = {"nnodes": 4, "msgs": 3, "seed": 3, "faults": None,
+                  "fail_node": fail_node, "fail_at_ns": 30_000}
+        with pytest.raises(ShardPoolError) as info:
+            run_sharded(builder, kwargs, nshards=2, serial=serial)
+        err = info.value
+        message = str(err)
+        assert err.shard == f"shard{fail_node}"  # round-robin: node k on shard k
+        assert message.startswith(f"shard{fail_node} failed in window ")
+        window = int(message.split("failed in window ")[1].split()[0])
+        horizon = int(message.split("(horizon ")[1].split()[0])
+        # the last mention: a forked traceback quotes the raising line first
+        failed_at = int(message.rsplit("planted failure at ", 1)[1].split()[0])
+        assert 30_000 <= failed_at <= horizon
+        repro_line = next(
+            line for line in message.splitlines() if line.startswith("reproduce: ")
+        )
+        assert repro_line.endswith(f"nshards=2, serial=True, until={horizon})")
+        cause = err.__cause__
+        if serial or fail_node == 0:  # raised in this process: the original
+            assert isinstance(cause, RuntimeError)
+            assert not isinstance(cause, ShardPoolError)
+        else:  # a forked shard's in-band report carries its traceback
+            assert isinstance(cause, ShardPoolError)
+        # the printed one-liner replays the same failure in the same window
+        with pytest.raises(ShardPoolError, match=f"failed in window {window} "):
+            eval(repro_line[len("reproduce: "):], {"run_sharded": run_sharded})
 
 
 def run_one_until(spec, *, until):

@@ -1,11 +1,16 @@
 """ShardPool: long-lived stateful workers behind request/reply pipes.
 
 The pool's contracts under test: state persists across calls (serial and
-forked identically), scatter fans per-worker arguments out before
-collecting any reply, an in-band method exception leaves the worker
-alive, and worker death / timeout / construction failure poison the pool
-loudly rather than silently rebuilding simulation state.
+forked identically), state 0 is hosted in the caller and the rest are
+forked, scatter fans per-worker arguments out before collecting any
+reply, an in-band method exception leaves the worker alive and every
+reply is still read (the next call sees its own replies), and worker
+death / timeout / construction failure poison the pool loudly rather
+than silently rebuilding simulation state.
 """
+
+import multiprocessing
+import os
 
 import pytest
 
@@ -63,34 +68,67 @@ class TestCalls:
             # the worker kept its state and keeps serving
             assert pool.broadcast("get") == [1, 2]
 
+    def test_failed_broadcast_leaves_no_stale_replies(self, mode):
+        """Every worker raises: the first error is raised only after all
+        replies are read, so later calls get their own replies."""
+        with ShardPool(counter_specs(3), serial=mode) as pool:
+            with pytest.raises(ShardPoolError, match="'c0'") as info:
+                pool.broadcast("boom")
+            assert info.value.shard == "c0"
+            assert pool.broadcast("get") == [0, 1, 2]
+            assert pool.broadcast("get") == [0, 1, 2]
+
+    def test_hosted_exception_keeps_the_pipes_in_step(self, mode):
+        with ShardPool(counter_specs(3), serial=mode) as pool:
+            with pytest.raises(ShardPoolError, match="'c0' raised") as info:
+                pool.scatter("bump", [("x",), (1,), (1,)])
+            assert isinstance(info.value.__cause__, TypeError)
+            # the other workers ran their call and the replies were consumed
+            assert pool.broadcast("get") == [0, 2, 3]
+            assert pool.call(2, "get") == 3
+
 
 @needs_fork
 class TestForkedSpecifics:
     def test_workers_are_distinct_processes(self):
-        import os
-
+        """State 0 is hosted by the caller; the rest are distinct forks."""
         with ShardPool(counter_specs(3)) as pool:
             pids = pool.broadcast("where")
-            assert len(set(pids)) == 3
-            assert os.getpid() not in pids
-            assert pool.pids == pids
+            assert pids[0] == os.getpid()
+            assert len(set(pids[1:])) == 2
+            assert os.getpid() not in pids[1:]
+            assert pool.pids == [None] + pids[1:]
+
+    def test_single_state_forks_nothing(self):
+        before = set(multiprocessing.active_children())
+        with ShardPool(counter_specs(1)) as pool:
+            assert set(multiprocessing.active_children()) == before
+            assert pool.pids == [None]
+            assert pool.broadcast("where") == [os.getpid()]
+            assert pool.reply_wait_s == 0.0
 
     def test_serial_pool_reports_no_pids(self):
         with ShardPool(counter_specs(2), serial=True) as pool:
             assert pool.pids == [None, None]
 
     def test_unpicklable_reply_is_reported_in_band(self):
-        with ShardPool(counter_specs(1)) as pool:
+        with ShardPool(counter_specs(2)) as pool:
             with pytest.raises(ShardPoolError, match="not picklable"):
-                pool.call(0, "opaque")
-            assert pool.broadcast("get") == [0]  # still alive
+                pool.call(1, "opaque")
+            assert pool.broadcast("get") == [0, 1]  # still alive
 
     def test_timeout_poisons_the_pool(self):
         with ShardPool(counter_specs(2), timeout_s=0.3) as pool:
-            with pytest.raises(ShardPoolError, match="timed out"):
-                pool.broadcast("nap", 30.0)
+            with pytest.raises(ShardPoolError, match="timed out") as info:
+                pool.scatter("nap", [(0.0,), (30.0,)])
+            assert info.value.shard == "c1"
             with pytest.raises(ShardPoolError, match="poisoned"):
                 pool.broadcast("get")
+
+    def test_reply_wait_is_measured_after_the_hosted_call(self):
+        with ShardPool(counter_specs(2)) as pool:
+            pool.scatter("nap", [(0.0,), (0.2,)])
+            assert pool.reply_wait_s >= 0.1
 
     def test_construction_failure_raises_not_first_window(self):
         specs = [
@@ -99,6 +137,21 @@ class TestForkedSpecifics:
         ]
         with pytest.raises(ShardPoolError, match="failed to build"):
             ShardPool(specs)
+
+    def test_hosted_build_failure_raises_after_reaping_the_forks(self):
+        specs = [
+            JobSpec(name="bad", target="tests.par.jobhelpers:boom"),
+            JobSpec(name="ok1", target=COUNTER),
+            JobSpec(name="ok2", target=COUNTER),
+        ]
+        with pytest.raises(ShardPoolError, match="'bad' failed to build") as info:
+            ShardPool(specs)
+        assert info.value.shard == "bad"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-shard-")
+        ]
 
 
 class TestLifecycle:
