@@ -18,9 +18,8 @@ Usage::
     python -m repro.bench diff A.json B.json        # ranked blame report
     python -m repro.bench render --trace t.json --gantt-out g.svg
     python -m repro.bench render --trace t.json --term
-    python -m repro.bench perf                      # host events/sec matrix
-    python -m repro.bench perf --quick --baseline BENCH_host_perf.json
-    python -m repro.bench perf --jobs 4 --parallel-report BENCH_parallel.json
+    python -m repro.bench perf                      # record BENCH_host_perf.json
+    python -m repro.bench perf --check BENCH_host_perf.json  # identity check
 
 (also installed as the ``repro-bench`` console script).
 
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -45,8 +45,17 @@ from repro.bench.targets import (
 )
 from repro.par import JobFailure, JobSpec, run_jobs_strict
 
-#: kept for backwards compatibility — predates the targets extraction
-_to_jsonable = to_jsonable
+
+def out_path(text: str) -> str:
+    """argparse ``type=`` of every output-path flag: a path whose directory
+    is missing fails at parse time (exit 2, naming the flag), before any
+    simulation runs."""
+    parent = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    return text
 
 
 def _ints(text: str) -> list[int]:
@@ -81,7 +90,7 @@ def _analyze_main(argv: Sequence[str]) -> int:
                     help="force the per-core section to cover N cores "
                     "(default: the count stamped in the trace, else the "
                     "cores observed)")
-    ap.add_argument("--analysis-out", metavar="PATH", default=None,
+    ap.add_argument("--analysis-out", metavar="PATH", type=out_path, default=None,
                     help="also dump the analysis as JSON to PATH")
     ap.add_argument("--scenario", default=None,
                     help="scenario name for the meta header (default: the "
@@ -89,7 +98,7 @@ def _analyze_main(argv: Sequence[str]) -> int:
     ap.add_argument("--critical-path", action="store_true",
                     help="walk the causal edges backward from the last "
                     "completion and print the makespan attribution")
-    ap.add_argument("--critpath-out", metavar="PATH", default=None,
+    ap.add_argument("--critpath-out", metavar="PATH", type=out_path, default=None,
                     help="dump the critical path as JSON to PATH")
     args = ap.parse_args(argv)
     analysis = analyze_trace_file(
@@ -122,15 +131,15 @@ def _diff_main(argv: Sequence[str]) -> int:
 
     ap = argparse.ArgumentParser(
         prog="repro-bench diff",
-        description="Compare two hostperf/analysis/metrics/trace JSON "
-        "documents and print a ranked blame report (worst regression "
+        description="Compare two perf/analysis/metrics/trace JSON "
+        "documents and print a ranked blame report (largest change "
         "first, dominant subsystem named).",
     )
     ap.add_argument("a", metavar="A.json", help="baseline document")
     ap.add_argument("b", metavar="B.json", help="new document")
     ap.add_argument("--top", type=int, default=4,
                     help="counters shown per entry (default 4)")
-    ap.add_argument("--json-out", metavar="PATH", default=None,
+    ap.add_argument("--json-out", metavar="PATH", type=out_path, default=None,
                     help="also dump the structured diff to PATH")
     args = ap.parse_args(argv)
     try:
@@ -159,7 +168,7 @@ def _render_main(argv: Sequence[str]) -> int:
     )
     ap.add_argument("--trace", metavar="PATH", required=True,
                     help="Chrome-trace JSON written by --trace-out")
-    ap.add_argument("--gantt-out", metavar="PATH", default=None,
+    ap.add_argument("--gantt-out", metavar="PATH", type=out_path, default=None,
                     help="write an SVG Gantt chart to PATH")
     ap.add_argument("--term", action="store_true",
                     help="print a block-character chart to stdout "
@@ -283,16 +292,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="per-target wall-clock limit in seconds when using --jobs",
     )
     ap.add_argument(
-        "--json", metavar="PATH", default=None,
+        "--json", metavar="PATH", type=out_path, default=None,
         help="also dump every regenerated series to PATH as JSON",
     )
     ap.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
+        "--metrics-out", metavar="PATH", type=out_path, default=None,
         help="dump a flat MetricsRegistry snapshot of an instrumented "
         "global-queue microbench run to PATH as JSON",
     )
     ap.add_argument(
-        "--trace-out", metavar="PATH", default=None,
+        "--trace-out", metavar="PATH", type=out_path, default=None,
         help="dump the instrumented run's task timeline to PATH as "
         "Chrome-trace JSON (load in chrome://tracing or ui.perfetto.dev)",
     )

@@ -180,13 +180,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     """The ``cluster-scale`` subcommand (called from :mod:`repro.bench.cli`)."""
     import argparse
 
+    from repro.bench.cli import out_path
+
     ap = argparse.ArgumentParser(
         prog="repro-bench cluster-scale",
         description="Sharded cluster scaling curve: run one generated "
         "workload at several shard counts, gate on fingerprint identity, "
         "write BENCH_cluster_scale.json.",
     )
-    ap.add_argument("--out", metavar="PATH", default="BENCH_cluster_scale.json",
+    ap.add_argument("--out", metavar="PATH", type=out_path,
+                    default="BENCH_cluster_scale.json",
                     help="where to write the JSON report "
                     "(default ./BENCH_cluster_scale.json; '-' skips writing)")
     ap.add_argument("--nodes", type=int, default=120,

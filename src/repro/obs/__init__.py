@@ -25,7 +25,7 @@ Complementary views of one simulation run:
   the causal edges backward from the last completion and attribute the
   makespan to subsystems and topology levels.
 * :func:`diff_docs` / :func:`format_diff` — ranked blame report between
-  two hostperf/analysis/metrics documents (``bench diff``).
+  two perf/analysis/metrics documents (``bench diff``).
 * :func:`render_gantt_svg` / :func:`render_gantt_term` — dependency-free
   Gantt/utilization charts with the critical path overlaid.
 

@@ -1,13 +1,13 @@
 """Regression blame: ranked diffs between two recorded documents.
 
 ``python -m repro.bench diff A.json B.json`` compares two runs and says
-*what got slower and why*, instead of the bare ratio the CI gate used to
-print.  Three document kinds are understood (detected automatically):
+*what changed and where*.  Three document kinds are understood (detected
+automatically):
 
-* **hostperf reports** (``bench perf --out``): per-scenario events/sec
-  ratios ranked worst-first, each with the fingerprint counters that
-  moved and the subsystem the dominant mover belongs to —
-  ``fault_net  -12.3% ev/s  dominant: nic/retransmit (retransmits +8.1%)``;
+* **perf fingerprint records** (``bench perf --out``): scenarios ranked
+  by how far their fingerprints moved, each with the counters that moved
+  and the subsystem the dominant mover belongs to —
+  ``fault_net  2 counters moved  dominant: nic/retransmit (retransmits +80.0%)``;
 * **analysis documents** (``bench analyze --analysis-out``): makespan,
   completion percentiles, per-level queue waits, lock waits and fault
   impacts diffed head to head;
@@ -15,9 +15,8 @@ print.  Three document kinds are understood (detected automatically):
   ranked by relative change.
 
 A Chrome-trace document is accepted too — it is analyzed on the fly and
-diffed as an analysis.  ``repro.bench.hostperf`` calls :func:`diff_docs`
-from its regression gate so a perf-smoke failure ships its own blame
-report.
+diffed as an analysis.  ``bench perf --check`` prints this report when a
+fingerprint differs from its record.
 """
 
 from __future__ import annotations
@@ -27,8 +26,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-#: hostperf fingerprint counter -> subsystem named in the blame line
+#: perf fingerprint counter -> subsystem named in the blame line
 _FP_SUBSYSTEM = {
+    "windows_2shard": "shard",
+    "run_fingerprint": "shard",
+    "identical": "shard",
     "drops": "nic/retransmit",
     "retransmits": "nic/retransmit",
     "reorders": "nic/retransmit",
@@ -56,7 +58,8 @@ class BlameItem:
     name: str
     a: Optional[float]
     b: Optional[float]
-    #: relative change (b-a)/a; None when a is 0/absent (rendered "new")
+    #: relative change (b-a)/a; None when a is 0/absent (rendered "new"),
+    #: b is absent ("gone") or either side is not a number ("changed")
     rel: Optional[float] = None
     subsystem: str = ""
 
@@ -72,7 +75,8 @@ class DiffEntry:
     """One compared unit (a scenario, or the whole analysis/snapshot)."""
 
     name: str
-    #: B-over-A throughput ratio (<1 = regressed); None when unmeasurable
+    #: B-over-A throughput ratio (<1 = regressed); None when unmeasurable,
+    #: and always for perf records, which rank by fingerprint movement
     ratio: Optional[float]
     headline: str
     dominant: str = ""
@@ -84,10 +88,8 @@ class DiffReport:
     kind: str
     entries: list[DiffEntry] = field(default_factory=list)
     headline: str = ""
-    #: scenario names present only in B / only in A.  The matrix grows
-    #: over time, so a baseline recorded before a new scenario existed is
-    #: the *common* case for the perf-smoke blame report — disjoint sets
-    #: are reported, never an error.
+    #: scenario names present only in B / only in A, reported (never an
+    #: error) so a record from before a scenario existed still diffs
     added: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
 
@@ -101,9 +103,7 @@ class DiffReport:
 def doc_kind(doc: dict) -> str:
     """Classify a loaded JSON document; raises on unknown shapes."""
     meta = doc.get("meta")
-    if (isinstance(meta, dict) and meta.get("kind") == "host_perf") or (
-        "scenarios" in doc and "aggregate" in doc
-    ):
+    if isinstance(meta, dict) and meta.get("kind") == "host_perf":
         return "host_perf"
     if "traceEvents" in doc:
         return "trace"
@@ -112,7 +112,7 @@ def doc_kind(doc: dict) -> str:
     if "cores" in doc and "levels" in doc:
         return "analysis"
     raise ValueError(
-        "unrecognized document: expected a hostperf report, analysis, "
+        "unrecognized document: expected a perf record, analysis, "
         "metrics snapshot, or Chrome trace"
     )
 
@@ -122,95 +122,63 @@ def load_doc(path: str) -> dict:
         return json.load(fh)
 
 
-def _rel(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None or b is None or a == 0:
+def _rel(a: Any, b: Any) -> Optional[float]:
+    if not isinstance(a, (int, float)) or not isinstance(b, (int, float)) or a == 0:
         return None
     return (b - a) / a
 
 
 def _fmt_rel(item: BlameItem) -> str:
-    if item.rel is None:
-        return "new" if item.a in (None, 0) else "gone"
-    return f"{100 * item.rel:+.1f}%"
+    if item.rel is not None:
+        return f"{100 * item.rel:+.1f}%"
+    if item.a in (None, 0):
+        return "new"
+    return "gone" if item.b is None else "changed"
 
 
 # ---------------------------------------------------------------------------
-# hostperf reports
+# perf fingerprint records
 # ---------------------------------------------------------------------------
 def _diff_hostperf(a: dict, b: dict) -> DiffReport:
-    a_by = {s["name"]: s for s in a.get("scenarios", [])}
-    b_by = {s["name"]: s for s in b.get("scenarios", [])}
-    entries: list[DiffEntry] = []
+    a_by = {s["name"]: s.get("fingerprint") or {} for s in a.get("scenarios", [])}
+    b_by = {s["name"]: s.get("fingerprint") or {} for s in b.get("scenarios", [])}
     added = sorted(set(b_by) - set(a_by))
     removed = sorted(set(a_by) - set(b_by))
-    for name in sorted(set(a_by) | set(b_by)):
-        sa, sb = a_by.get(name), b_by.get(name)
-        if sa is None or sb is None:
-            entries.append(
-                DiffEntry(
-                    name=name,
-                    ratio=None,
-                    headline="added (only in B)" if sa is None
-                    else "removed (only in A)",
-                )
-            )
+    entries = [
+        DiffEntry(name=name, ratio=None, headline="added (only in B)")
+        for name in added
+    ] + [
+        DiffEntry(name=name, ratio=None, headline="removed (only in A)")
+        for name in removed
+    ]
+    common = sorted(set(a_by) & set(b_by))
+    moved = []
+    for name in common:
+        fa, fb = a_by[name], b_by[name]
+        items = [
+            BlameItem(name=key, a=fa.get(key), b=fb.get(key),
+                      rel=_rel(fa.get(key), fb.get(key)),
+                      subsystem=_FP_SUBSYSTEM.get(key, "other"))
+            for key in sorted(set(fa) | set(fb))
+            if fa.get(key) != fb.get(key)
+        ]
+        if not items:
             continue
-        ea, eb = sa.get("events_per_sec"), sb.get("events_per_sec")
-        ratio = (eb / ea) if ea and eb else None
-        items: list[BlameItem] = []
-        fa = dict(sa.get("fingerprint") or {})
-        fb = dict(sb.get("fingerprint") or {})
-        fa.setdefault("virtual_ns", sa.get("virtual_ns"))
-        fb.setdefault("virtual_ns", sb.get("virtual_ns"))
-        for key in sorted(set(fa) | set(fb)):
-            va, vb = fa.get(key), fb.get(key)
-            if va == vb:
-                continue
-            items.append(
-                BlameItem(
-                    name=key,
-                    a=va,
-                    b=vb,
-                    rel=_rel(va, vb),
-                    subsystem=_FP_SUBSYSTEM.get(key, "other"),
-                )
-            )
         items.sort(key=lambda it: -it.magnitude)
-        dominant = ""
-        if items:
-            top = items[0]
-            dominant = f"{top.subsystem} ({top.name} {_fmt_rel(top)})"
-        if ratio is None:
-            headline = "ev/s n/a"
-        else:
-            headline = f"{100 * (ratio - 1):+.1f}% ev/s"
-        entries.append(
-            DiffEntry(
-                name=name, ratio=ratio, headline=headline,
-                dominant=dominant, items=items,
-            )
-        )
-    # worst regression first; unmeasurable entries last
-    entries.sort(key=lambda e: e.ratio if e.ratio is not None else float("inf"))
-    agg_a = (a.get("aggregate") or {}).get("events_per_sec")
-    agg_b = (b.get("aggregate") or {}).get("events_per_sec")
-    agg = _rel(agg_a, agg_b)
-    headline = (
-        f"aggregate {100 * agg:+.1f}% ev/s" if agg is not None else "aggregate n/a"
-    )
+        top = items[0]
+        moved.append(DiffEntry(
+            name=name, ratio=None,
+            headline=f"{len(items)} counter{'s' if len(items) > 1 else ''} moved",
+            dominant=f"{top.subsystem} ({top.name} {_fmt_rel(top)})", items=items,
+        ))
+    # the furthest-moved fingerprint first; identical scenarios are left
+    # out and set-only entries come last
+    moved.sort(key=lambda e: -e.items[0].magnitude)
+    headline = f"{len(moved)} of {len(common)} scenarios moved"
     if added or removed:
-        # disjoint scenario sets are normal (the matrix grows); say so in
-        # the headline instead of letting the aggregate ratio mislead
-        bits = []
-        if added:
-            bits.append(f"{len(added)} scenario{'s' if len(added) > 1 else ''} added")
-        if removed:
-            bits.append(
-                f"{len(removed)} scenario{'s' if len(removed) > 1 else ''} removed"
-            )
-        headline += " (" + ", ".join(bits) + " — compared on the overlap)"
+        headline += f" ({len(added)} added, {len(removed)} removed)"
     return DiffReport(
-        kind="host_perf", entries=entries, headline=headline,
+        kind="host_perf", entries=moved + entries, headline=headline,
         added=added, removed=removed,
     )
 
@@ -356,5 +324,5 @@ def format_diff(report: DiffReport, top_items: int = 4) -> str:
     if report.removed:
         lines.append(f"  removed in B: {', '.join(report.removed)}")
     if not report.entries:
-        lines.append("  (nothing to compare)")
+        lines.append("  (no differences)")
     return "\n".join(lines)

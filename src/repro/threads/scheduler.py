@@ -887,10 +887,11 @@ class Scheduler:
 
     # -- per-instruction handlers ----------------------------------------
     def _exec(self, cid: int, thread: SimThread, instr: Instr) -> None:
-        # Exact-type dispatch: instruction classes are final in practice,
-        # and ``__class__ is X`` beats an isinstance() chain on the hottest
-        # interpreter path.  Unknown (subclassed) instructions fall through
-        # to the isinstance-based slow path for compatibility.
+        # Exact-type dispatch: every instruction class derives from Instr
+        # directly and is never subclassed, and ``__class__ is X`` beats an
+        # isinstance() chain on the hottest interpreter path.  The branches
+        # are ordered hottest first; anything else (a subclassed
+        # instruction included) is a TypeError.
         cls = instr.__class__
         if cls is Compute:
             ns = instr.ns
@@ -1036,73 +1037,16 @@ class Scheduler:
             if thread is not self.cores[cid].idle_thread:
                 raise RuntimeError("only the idle thread may Park")
             self._block(cid, thread, "parked")
-        else:
-            self._exec_slow(cid, thread, instr)
-
-    def _exec_slow(self, cid: int, thread: SimThread, instr: Instr) -> None:
-        """isinstance-based dispatch for the rarer instructions (and any
-        subclassed ones the exact-type fast path above cannot match)."""
-        if isinstance(instr, Compute):
-            quantum = self.machine.spec.timer_quantum_ns
-            slice_ns = min(instr.ns, quantum)
-            remaining = instr.ns - slice_ns
-            if remaining > 0:
-                thread.pending_instr = Compute(remaining)
-            self._charge(cid, thread, slice_ns)
-            ev = self.engine.schedule(slice_ns, self._advance, cid, thread)
-            thread.compute_event = (ev, self.engine.now, slice_ns)
-        elif isinstance(instr, Acquire):
-            start = self.engine.now
-
-            def granted() -> None:
-                thread.spin_cancel = None
-                if thread.state is _RUNNING and self._cur[cid] is thread:
-                    self._charge(cid, thread, self.engine.now - start)
-                    self.engine.post_soon(self._advance, cid, thread)
-                else:  # pragma: no cover - defensive; cancel prevents this
-                    raise RuntimeError(
-                        f"lock {instr.lock.name!r} granted to descheduled "
-                        f"thread {thread.name!r}"
-                    )
-
-            waiter = instr.lock.acquire(cid, granted, thread)
-            if waiter is not None:
-                lock = instr.lock
-                thread.spin_cancel = (lambda: lock.cancel_waiter(waiter), instr)
-                holder = lock.holder_thread
-                if (
-                    holder is not None
-                    and holder.core_id == cid
-                    and holder.state is TState.READY
-                    and thread.prio < holder.prio
-                ):
-                    # futile spin against a descheduled same-core holder:
-                    # inherit priority and yield (see the fast path)
-                    holder.prio_boost = thread.prio
-                    self._cancel_spin(cid, thread)
-        elif isinstance(instr, Release):
-            if thread.prio_boost is not None:
-                thread.prio_boost = None
-            cost = instr.lock.release(cid)
-            self._resume_after(cid, thread, cost)
-        elif isinstance(instr, MutexAcquire):
+        elif cls is MutexAcquire:
             cost = instr.mutex.acquire(thread)
             if cost is None:
                 self._block(cid, thread, f"mutex:{instr.mutex.name}")
             else:
                 self._resume_after(cid, thread, cost)
-        elif isinstance(instr, MutexRelease):
+        elif cls is MutexRelease:
             cost = instr.mutex.release(thread)
             self._resume_after(cid, thread, cost)
-        elif isinstance(instr, BlockOn):
-            cost = instr.flag.read(cid)
-            if instr.flag.is_set:
-                self._resume_after(cid, thread, cost)
-            else:
-                self._charge(cid, thread, cost)
-                instr.flag.add_blocker(thread)
-                self._block(cid, thread, f"flag:{instr.flag.name}")
-        elif isinstance(instr, BlockOnAny):
+        elif cls is BlockOnAny:
             cost = 0
             fired = False
             for f in instr.flags:
@@ -1118,45 +1062,6 @@ class Scheduler:
                     f.add_blocker(thread)
                 thread.multi_flags = instr.flags
                 self._block(cid, thread, f"any-of-{len(instr.flags)}-flags")
-        elif isinstance(instr, SpinOn):
-            cost = instr.flag.read(cid)
-            if instr.flag.is_set:
-                self._resume_after(cid, thread, cost)
-            else:
-                start = self.engine.now
-
-                def spun() -> None:
-                    thread.spin_cancel = None
-                    if thread.state is _RUNNING and self._cur[cid] is thread:
-                        self._charge(cid, thread, self.engine.now - start)
-                        self.engine.post_soon(self._advance, cid, thread)
-                    else:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"flag {instr.flag.name!r} woke a descheduled "
-                            f"spinner {thread.name!r}"
-                        )
-
-                entry = instr.flag.add_spinner(cid, spun)
-                flag = instr.flag
-                thread.spin_cancel = (lambda: flag.remove_spinner(entry), instr)
-        elif isinstance(instr, SetFlag):
-            cost = instr.flag.set(cid)
-            self._resume_after(cid, thread, cost)
-        elif isinstance(instr, Sleep):
-            thread.sleep_event = self.engine.schedule(instr.ns, self._sleep_wake, thread)
-            self._block(cid, thread, f"sleep:{instr.ns}")
-        elif isinstance(instr, YieldCPU):
-            thread.state = TState.READY
-            thread.rq_seq = self._rr_seq
-            self._rr_seq += 1
-            self._rqs[cid].append(thread)
-            self._cur[cid] = None
-            self._preempt[cid] = False
-            self.engine.post_soon(self._dispatch, cid)
-        elif isinstance(instr, Park):
-            if thread is not self.cores[cid].idle_thread:
-                raise RuntimeError("only the idle thread may Park")
-            self._block(cid, thread, "parked")
         else:
             raise TypeError(f"unknown instruction {instr!r} from {thread!r}")
 

@@ -47,3 +47,40 @@ def test_cli_rejects_unknown_target(capsys):
 
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--reps", "10", "--json", "{bad}"],
+    ["table1", "--metrics-out", "{bad}"],
+    ["table1", "--trace-out", "{bad}"],
+    ["analyze", "--trace", "t.json", "--analysis-out", "{bad}"],
+    ["analyze", "--trace", "t.json", "--critpath-out", "{bad}"],
+    ["diff", "a.json", "b.json", "--json-out", "{bad}"],
+    ["render", "--trace", "t.json", "--gantt-out", "{bad}"],
+    ["perf", "--out", "{bad}"],
+    ["cluster-scale", "--out", "{bad}"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_output_path_in_missing_directory_fails_before_running(argv, tmp_path, capsys):
+    """Every output flag checks its directory at parse time: exit 2 with
+    one error line naming the flag, and nothing simulated or written."""
+    from repro.bench.cli import main as bench_main
+
+    bad = str(tmp_path / "missing" / "x.json")
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        bench_main([bad if a == "{bad}" else a for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: directory {tmp_path / 'missing'} does not exist" in (
+        err.splitlines()[-1]
+    )
+
+
+def test_output_path_that_is_a_directory_is_rejected(tmp_path, capsys):
+    from repro.bench.cli import main as bench_main
+
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["perf", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument --out: {tmp_path} is a directory" in capsys.readouterr().err

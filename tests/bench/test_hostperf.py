@@ -1,27 +1,41 @@
-"""The host-performance harness: deterministic fingerprints, JSON output,
-and the regression gate used by CI's perf-smoke job."""
+"""The identity corpus: the matrix's fingerprints, the committed record,
+and ``perf --check``."""
 
 import json
+import os
 
 import pytest
 
 from repro.bench.hostperf import (
-    check_regression,
+    RECORD,
+    check_fingerprints,
+    main as perf_main,
     matrix_specs,
-    parallel_report_to_jsonable,
     report_to_jsonable,
     run_host_perf,
-    run_parallel_comparison,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="module")
-def quick_report():
-    return run_host_perf(quick=True, seed=7)
+def matrix_run():
+    return run_host_perf()
 
 
-def test_quick_matrix_shape(quick_report):
-    names = [s.name for s in quick_report.scenarios]
+@pytest.fixture(scope="module")
+def record_path(matrix_run, tmp_path_factory):
+    path = tmp_path_factory.mktemp("perf") / "record.json"
+    path.write_text(json.dumps(report_to_jsonable(matrix_run)))
+    return path
+
+
+def _by_name(report):
+    return {s.name: s for s in report}
+
+
+def test_quick_matrix_shape(matrix_run):
+    names = [s.name for s in matrix_run]
     assert names == [
         "micro_local",
         "micro_global",
@@ -37,17 +51,25 @@ def test_quick_matrix_shape(quick_report):
         "fault_storm",
         "cluster_shard2",
     ]
-    assert quick_report.total_events > 0
-    assert quick_report.aggregate_events_per_sec > 0
+    assert all(s.fingerprint["fired"] > 0 for s in matrix_run)
 
 
-def test_idle_spin_pair_simulates_identically(quick_report):
+def test_fixture_run_matches_committed_record(matrix_run):
+    """The committed record is exactly what the matrix computes today, so
+    a change that moves a fingerprint must regenerate it (``perf``)."""
+    with open(os.path.join(ROOT, RECORD)) as fh:
+        committed = json.load(fh)
+    assert report_to_jsonable(matrix_run) == committed
+
+
+def test_idle_spin_pair_simulates_identically(matrix_run):
     """idle_spin and idle_spin_nosummary run the same seeded simulation
     with the occupancy-summary fast path on/off; everything but the fast
     path's own hit counter must agree, and the fast-path run must have
     actually exercised the O(1) pass."""
-    on = quick_report.scenario("idle_spin").fingerprint
-    off = quick_report.scenario("idle_spin_nosummary").fingerprint
+    by = _by_name(matrix_run)
+    on = by["idle_spin"].fingerprint
+    off = by["idle_spin_nosummary"].fingerprint
     strip = lambda fp: {k: v for k, v in fp.items() if k != "summary_hits"}
     assert strip(on) == strip(off)
     assert on["summary_hits"] > on["schedule_passes"] * 0.9, (
@@ -56,75 +78,75 @@ def test_idle_spin_pair_simulates_identically(quick_report):
     assert off["summary_hits"] == 0
 
 
-def test_virtual_outcomes_are_deterministic(quick_report):
-    """Same seed -> same simulated work; only wall-clock may differ."""
-    again = run_host_perf(quick=True, seed=7)
-    for a, b in zip(quick_report.scenarios, again.scenarios):
-        assert a.name == b.name
-        assert a.events == b.events, f"{a.name}: event fingerprint changed"
-        assert a.virtual_ns == b.virtual_ns, f"{a.name}: virtual time changed"
-
-
-def test_report_round_trips_through_json(quick_report, tmp_path):
-    doc = report_to_jsonable(quick_report, quick=True, seed=7)
-    path = tmp_path / "perf.json"
-    path.write_text(json.dumps(doc))
-    loaded = json.loads(path.read_text())
-    assert loaded["meta"]["quick"] is True
-    assert loaded["aggregate"]["events"] == quick_report.total_events
-    assert len(loaded["scenarios"]) == len(quick_report.scenarios)
-
-
-def test_regression_gate_passes_against_itself(quick_report, tmp_path):
-    baseline = report_to_jsonable(quick_report, quick=True, seed=7)
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline))
-    failures = check_regression(quick_report, str(path), max_regression=2.0)
-    assert failures == []
-
-
-def test_regression_gate_fails_on_large_slowdown(quick_report, tmp_path):
-    baseline = report_to_jsonable(quick_report, quick=True, seed=7)
-    # pretend the committed numbers were 10x faster than what we measured
-    for s in baseline["scenarios"]:
-        s["events_per_sec"] *= 10
-    baseline["aggregate"]["events_per_sec"] *= 10
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline))
-    failures = check_regression(quick_report, str(path), max_regression=2.0)
-    assert failures, "a 10x slowdown must trip the 2x gate"
-
-
-def test_regression_gate_announces_missing_baseline_entries(
-    quick_report, tmp_path, capsys
-):
-    """A scenario absent from the baseline is skipped *loudly*."""
-    baseline = report_to_jsonable(quick_report, quick=True, seed=7)
-    baseline["scenarios"] = [
-        s for s in baseline["scenarios"] if s["name"] != "latency_mt"
-    ]
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline))
-    failures = check_regression(quick_report, str(path), max_regression=2.0)
-    out = capsys.readouterr().out
-    assert failures == []
-    assert "latency_mt: no baseline entry, skipped" in out
-    # scenarios with a baseline entry are still compared silently
-    assert "micro_local: no baseline entry" not in out
-
-
-def test_leap_pair_simulates_identically(quick_report):
+def test_leap_pair_simulates_identically(matrix_run):
     """leap_on and leap_off run the same seeded simulation with the
     quiescence leap pinned on/off; unlike the summary pair, *every*
     fingerprint counter must agree — the leap replays its accounting."""
-    on = quick_report.scenario("leap_on")
-    off = quick_report.scenario("leap_off")
+    by = _by_name(matrix_run)
+    on, off = by["leap_on"], by["leap_off"]
     assert on.fingerprint == off.fingerprint
     assert on.virtual_ns == off.virtual_ns
 
 
+def test_report_round_trips_through_json(matrix_run, tmp_path):
+    doc = report_to_jsonable(matrix_run)
+    path = tmp_path / "perf.json"
+    path.write_text(json.dumps(doc))
+    loaded = json.loads(path.read_text())
+    assert loaded == doc
+    assert loaded["meta"] == {"kind": "host_perf", "seed": 7}
+    assert [s["name"] for s in loaded["scenarios"]] == [s.name for s in matrix_run]
+
+
+def test_check_passes_on_its_own_output(record_path, capsys):
+    assert perf_main(["--check", str(record_path)]) == 0
+    assert "perf check ok: 13 scenarios" in capsys.readouterr().out
+
+
+def test_check_fails_naming_scenario_and_counter(record_path, tmp_path, capsys):
+    doc = json.loads(record_path.read_text())
+    doc["scenarios"][9]["fingerprint"]["retransmits"] += 1  # fault_net
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(doc))
+    assert perf_main(["--check", str(doctored)]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert line.startswith("FINGERPRINT MISMATCH: fault_net: retransmits ")
+    # the blame report names the same scenario and counter
+    assert "1 of 13 scenarios moved" in out
+    assert "fault_net" in out and "retransmits" in out
+
+
+def test_check_fails_on_scenario_missing_from_record(record_path, tmp_path, capsys):
+    doc = json.loads(record_path.read_text())
+    doc["scenarios"] = [s for s in doc["scenarios"] if s["name"] != "latency_mt"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc))
+    assert perf_main(["--check", str(partial)]) == 1
+    assert "latency_mt: missing from the record" in capsys.readouterr().err
+
+
+def test_check_never_overwrites_its_record(record_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = record_path.read_text()
+    assert perf_main(["--check", str(record_path)]) == 0
+    assert os.listdir(tmp_path) == []  # no default output beside the check
+    with pytest.raises(SystemExit) as exc:
+        perf_main(["--check", str(record_path), "--out", str(record_path)])
+    assert exc.value.code == 2
+    assert record_path.read_text() == before
+
+
+def test_check_fingerprints_lists_both_set_differences():
+    a = {"scenarios": [{"name": "x", "fingerprint": {"fired": 1}}]}
+    b = {"scenarios": [{"name": "y", "fingerprint": {"fired": 1}}]}
+    assert check_fingerprints(a, b) == [
+        "x: missing from the record", "y: in the record but not run",
+    ]
+
+
 def test_matrix_specs_carry_seeds_and_names():
-    specs = matrix_specs(quick=True, seed=7)
+    specs = matrix_specs()
     assert [s.name for s in specs] == [
         "micro_local", "micro_global", "latency_mt",
         "scal_numa32", "cluster_ring", "idle_spin", "idle_spin_nosummary",
@@ -135,20 +157,3 @@ def test_matrix_specs_carry_seeds_and_names():
     assert [s.kwargs["seed"] for s in specs] == [
         7, 8, 9, 10, 11, 12, 12, 17, 17, 13, 14, 15, 18,
     ]
-
-
-def test_parallel_comparison_requires_two_workers():
-    with pytest.raises(ValueError, match="jobs >= 2"):
-        run_parallel_comparison(jobs=1, quick=True)
-
-
-def test_parallel_comparison_is_identical_and_serializes(tmp_path):
-    cmp = run_parallel_comparison(jobs=2, quick=True, seed=7)
-    assert cmp.identical, cmp.mismatches
-    doc = parallel_report_to_jsonable(cmp, quick=True, seed=7)
-    assert doc["identical"] is True
-    assert doc["meta"]["jobs"] == 2
-    assert all(s["fingerprint_identical"] for s in doc["scenarios"])
-    path = tmp_path / "parallel.json"
-    path.write_text(json.dumps(doc))
-    assert json.loads(path.read_text())["mismatches"] == []

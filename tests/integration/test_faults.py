@@ -18,8 +18,8 @@ import pytest
 
 from repro.bench.hostperf import (
     _fault_net_scenario,
-    _fault_slowcore_scenario,
     _fault_storm_scenario,
+    _submit_wait_scenario,
 )
 from repro.cluster.cluster import Cluster
 from repro.faults import FaultPlan
@@ -96,8 +96,9 @@ def test_faulty_run_differs_and_counts_faults():
 _VARIANTS = [
     ("net", _fault_net_scenario,
      dict(name="net", msgs=6, size=4096, drop_p=0.2, reorder_p=0.25, seed=13)),
-    ("slowcore", _fault_slowcore_scenario,
-     dict(name="slowcore", reps=20, slow_cores=(1, 3), factor=3.0, seed=14)),
+    ("slowcore", _submit_wait_scenario,
+     dict(name="slowcore", machine="borderline", cpuset="global", reps=20,
+          seed=14, horizon_ns=2_000_000, slow_cores=(1, 3), factor=3.0)),
     ("storm", _fault_storm_scenario,
      dict(name="storm", decoys=10, gap_us=20, seed=15)),
 ]
@@ -118,8 +119,9 @@ def test_fault_fingerprints_show_nonzero_fault_activity():
     )
     assert net.fingerprint["drops"] > 0
     assert net.fingerprint["retransmits"] > 0
-    slow = _fault_slowcore_scenario(
-        name="slowcore", reps=20, slow_cores=(1, 3), factor=3.0, seed=14
+    slow = _submit_wait_scenario(
+        name="slowcore", machine="borderline", cpuset="global", reps=20,
+        seed=14, horizon_ns=2_000_000, slow_cores=(1, 3), factor=3.0,
     )
     assert slow.fingerprint["slow_cores"] == 2
     storm = _fault_storm_scenario(name="storm", decoys=10, gap_us=20, seed=15)

@@ -9,51 +9,63 @@ from repro.obs import diff_docs, diff_files, format_diff
 from repro.obs.diff import doc_kind
 
 
-def _hostperf_doc(*, fault_ev_s=100_000.0, retransmits=10):
-    def scen(name, ev_s, fp):
-        return {
-            "name": name,
-            "events_per_sec": ev_s,
-            "virtual_ns": 1_000_000,
-            "fingerprint": fp,
-        }
+def _hostperf_doc(*, retransmits=10, submits=64):
+    def scen(name, fp):
+        return {"name": name, "fingerprint": fp}
 
     return {
-        "meta": {"kind": "host_perf"},
+        "meta": {"kind": "host_perf", "seed": 7},
         "scenarios": [
-            scen("steady", 200_000.0, {"submits": 64, "executions": 64}),
-            scen(
-                "fault_net",
-                fault_ev_s,
-                {"retransmits": retransmits, "drops": 4, "messages": 24},
-            ),
+            scen("steady", {"submits": submits, "executions": 64}),
+            scen("fault_net",
+                 {"retransmits": retransmits, "drops": 4, "messages": 24}),
         ],
-        "aggregate": {"events_per_sec": 150_000.0 + fault_ev_s / 2},
     }
 
 
 def test_hostperf_diff_ranks_regressed_scenario_first():
-    """Acceptance: regressed scenario first, dominant names the subsystem."""
+    """The furthest-moved fingerprint first; dominant names the subsystem."""
     a = _hostperf_doc()
-    b = _hostperf_doc(fault_ev_s=88_000.0, retransmits=18)
+    b = _hostperf_doc(retransmits=18, submits=65)
     report = diff_docs(a, b)
     assert report.kind == "host_perf"
-    assert report.entries[0].name == "fault_net"
-    assert report.entries[0].ratio == pytest.approx(0.88)
+    assert [e.name for e in report.entries] == ["fault_net", "steady"]
+    assert report.entries[0].ratio is None
     assert "nic/retransmit" in report.entries[0].dominant
     assert "retransmits" in report.entries[0].dominant
+    assert report.headline == "2 of 2 scenarios moved"
     text = format_diff(report)
     assert text.splitlines()[1].lstrip().startswith("1. fault_net")
-    assert "-12.0% ev/s" in text
+    assert "1 counter moved" in text
     assert "retransmits: 10 -> 18 (+80.0%)" in text
+    assert "submits: 64 -> 65 (+1.6%)" in text
 
 
 def test_hostperf_diff_improvement_is_not_ranked_first():
+    """Speed is not part of a fingerprint: a scenario that only ran faster
+    (an old record's events/s) is identical and left out of the ranking."""
     a = _hostperf_doc()
-    b = _hostperf_doc(fault_ev_s=140_000.0)
+    b = _hostperf_doc(submits=65)
+    a["scenarios"][1]["events_per_sec"] = 100_000.0
+    b["scenarios"][1]["events_per_sec"] = 140_000.0
     report = diff_docs(a, b)
-    assert report.entries[0].name == "steady"  # ratio 1.0 < 1.4
-    assert report.entries[1].ratio == pytest.approx(1.4)
+    assert [e.name for e in report.entries] == ["steady"]
+    assert report.headline == "1 of 2 scenarios moved"
+
+
+def test_hostperf_diff_of_identical_records_is_empty():
+    report = diff_docs(_hostperf_doc(), _hostperf_doc())
+    assert report.entries == []
+    assert "(no differences)" in format_diff(report)
+
+
+def test_hostperf_diff_names_a_changed_string_counter():
+    a = {"meta": {"kind": "host_perf"},
+         "scenarios": [{"name": "shard", "fingerprint": {"run_fingerprint": "ab"}}]}
+    b = {"meta": {"kind": "host_perf"},
+         "scenarios": [{"name": "shard", "fingerprint": {"run_fingerprint": "cd"}}]}
+    (entry,) = diff_docs(a, b).entries
+    assert entry.dominant == "shard (run_fingerprint changed)"
 
 
 def _analysis_doc(*, makespan=80_000, retx_events=2):
@@ -120,8 +132,7 @@ def test_cli_diff_subcommand(tmp_path, capsys):
     pa = tmp_path / "a.json"
     pb = tmp_path / "b.json"
     pa.write_text(json.dumps(_hostperf_doc()))
-    pb.write_text(json.dumps(_hostperf_doc(fault_ev_s=88_000.0,
-                                           retransmits=18)))
+    pb.write_text(json.dumps(_hostperf_doc(retransmits=18)))
     out_json = tmp_path / "diff.json"
     rc = bench_main(["diff", str(pa), str(pb), "--json-out", str(out_json)])
     assert rc == 0
@@ -140,19 +151,10 @@ def test_cli_diff_subcommand(tmp_path, capsys):
     assert "cannot diff" in capsys.readouterr().err
 
 
-def _matrix_doc(names, ev_s=100_000.0):
+def _matrix_doc(names, fired=100):
     return {
         "meta": {"kind": "host_perf"},
-        "scenarios": [
-            {
-                "name": n,
-                "events_per_sec": ev_s,
-                "virtual_ns": 1_000_000,
-                "fingerprint": {"fired": 100},
-            }
-            for n in names
-        ],
-        "aggregate": {"events_per_sec": ev_s},
+        "scenarios": [{"name": n, "fingerprint": {"fired": fired}} for n in names],
     }
 
 
@@ -169,18 +171,19 @@ _NEW = _OLD7[:-1] + [
 
 
 def test_hostperf_diff_reports_added_and_removed_scenarios():
-    """Matrix growth: an old baseline diffs cleanly against a wider run,
+    """Matrix growth: an old record diffs cleanly against a wider run,
     with the set change reported explicitly instead of raising."""
-    report = diff_docs(_matrix_doc(_OLD7), _matrix_doc(_NEW, ev_s=110_000.0))
+    report = diff_docs(_matrix_doc(_OLD7), _matrix_doc(_NEW, fired=110))
     assert report.kind == "host_perf"
     assert report.added == sorted(set(_NEW) - set(_OLD7))
     assert report.removed == ["idle_spin_nosummary"]
-    # comparable scenarios still get ratios; set-only entries sort last
+    # comparable scenarios rank on their moved counters; set-only entries last
     by_name = {e.name: e for e in report.entries}
-    assert by_name["micro_local"].ratio == pytest.approx(1.1)
-    assert by_name["leap_on"].ratio is None
+    assert by_name["micro_local"].items[0].rel == pytest.approx(0.1)
+    assert by_name["leap_on"].items == []
     assert by_name["leap_on"].headline == "added (only in B)"
     assert by_name["idle_spin_nosummary"].headline == "removed (only in A)"
+    assert report.entries[-1].name == "idle_spin_nosummary"
     assert "added" in report.headline and "removed" in report.headline
     text = format_diff(report)
     assert "added in B: " in text and "leap_on" in text
@@ -194,14 +197,14 @@ def test_hostperf_diff_fully_disjoint_sets_do_not_raise():
     report = diff_docs(_matrix_doc(["gone"]), _matrix_doc(["fresh"]))
     assert report.added == ["fresh"] and report.removed == ["gone"]
     assert all(e.ratio is None for e in report.entries)
-    assert "(nothing to compare)" not in format_diff(report)
+    assert "(no differences)" not in format_diff(report)
 
 
 def test_diff_files_roundtrip(tmp_path):
     pa = tmp_path / "a.json"
     pb = tmp_path / "b.json"
     pa.write_text(json.dumps(_hostperf_doc()))
-    pb.write_text(json.dumps(_hostperf_doc(fault_ev_s=90_000.0)))
+    pb.write_text(json.dumps(_hostperf_doc(retransmits=11)))
     report = diff_files(str(pa), str(pb))
     assert report.entries[0].name == "fault_net"
-    assert report.headline.startswith("aggregate")
+    assert report.headline == "1 of 2 scenarios moved"

@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.ablations import run_ablation_suite
 from repro.bench.cli import main as bench_main
-from repro.bench.hostperf import compare_fingerprints, run_host_perf
+from repro.bench.hostperf import report_to_jsonable, run_host_perf
 from repro.bench.scalability import run_scalability
 from repro.bench.targets import to_jsonable
 from repro.par import JobSpec, has_fork, run_jobs
@@ -31,14 +31,10 @@ _GLOBAL_ID = re.compile(r"#\d+")
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_perf_matrix_fingerprints_identical_across_worker_counts(jobs):
-    serial = run_host_perf(quick=True, seed=7, jobs=1)
-    parallel = run_host_perf(quick=True, seed=7, jobs=jobs)
-    assert compare_fingerprints(serial, parallel) == []
-    for s, p in zip(serial.scenarios, parallel.scenarios):
-        assert s.name == p.name
-        assert s.events == p.events
-        assert s.virtual_ns == p.virtual_ns
-        assert s.fingerprint == p.fingerprint
+    serial = run_host_perf(jobs=1)
+    parallel = run_host_perf(jobs=jobs)
+    assert [p.name for p in parallel] == [s.name for s in serial]
+    assert report_to_jsonable(parallel) == report_to_jsonable(serial)
 
 
 def test_perf_matrix_out_of_order_completion_merges_canonically():

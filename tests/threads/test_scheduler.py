@@ -94,6 +94,22 @@ def test_long_compute_sliced_by_quantum(machine):
     assert result == 3 * quantum + 17  # no time lost to slicing
 
 
+def test_subclassed_instruction_is_rejected_naming_the_thread(machine):
+    """Dispatch is by exact type: a subclassed instruction is never run
+    as its base class."""
+
+    class LongCompute(Compute):
+        pass
+
+    def body(ctx):
+        yield LongCompute(1_000)
+
+    with pytest.raises(TypeError, match="unknown instruction.*'odd-one'"):
+        sched = Scheduler(machine, Engine(), rng=Rng(42))
+        sched.spawn(body, 0, name="odd-one")
+        sched.engine.run()
+
+
 def test_round_robin_between_equal_threads(machine):
     quantum = machine.spec.timer_quantum_ns
     finish = {}

@@ -1,0 +1,268 @@
+"""Paired A/B of the repo benchmark against a git ref, and CI's wall gate.
+
+Run:  python3 tools/ab.py REF [--workload W]... [--pairs N] [--smoke] [--seed N]
+      python3 tools/ab.py --gate RECORD RUN
+
+A/B mode checks REF out into a throwaway ``git worktree`` (local, no
+network), removed on exit, and alternates ``benchmark/run.py --workload W
+--reps 1`` between that tree and the working tree, ``--pairs`` times per
+workload (default 10), swapping which side goes first every pair.  Every
+run checks its digests against ``benchmark/reference.json`` and counts
+failed operations; any non-zero exit stops the comparison (exit 1).  It
+refuses to start (exit 2) when ``benchmark/`` or ``BENCHMARK.json``
+differ between the two trees: the two sides would not measure the same
+thing.
+
+For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
+each side's median [q1, q3], the median of the per-pair ratios (working
+tree over REF), the pairs the working tree won in the metric's better
+direction (ties count for neither side) and one verdict:
+
+* ``gain``: at least nine tenths of the pairs won, and the medians
+  further apart than REF's interquartile range;
+* ``worse``: the working tree's median worse than REF's by more than the
+  metric's bound;
+* ``unresolved``: REF's interquartile range wider than the bound, or
+  fewer than 5 pairs, where even winning every pair is no evidence (a
+  one-sided sign test needs 5 of 5 to reach p < 0.05);
+* ``parity``: none of these.
+
+The exit code does not depend on the verdicts.  The last line of
+standard output is one JSON object.
+
+Gate mode compares RUN, written by ``benchmark/run.py --smoke --trace
+--json-out RUN``, with RECORD, a committed document written by the same
+command (``BENCH_smoke.json``).  It fails (exit 1) unless every
+end-to-end median of RUN is within a factor of 2 of RECORD's in the
+metric's worse direction, and every per-layer metric that is a function
+of the simulated run (all but host self times, time shares and the
+traced run's host timings) equals RECORD's exactly.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: what must be identical in both trees for the comparison to mean anything
+SAME = ("benchmark", "BENCHMARK.json")
+#: fewest pairs for which winning all of them is evidence
+MIN_PAIRS = 5
+#: share of pairs a gain must win
+GAIN_WINS = 0.9
+#: the gate's tolerance on an end-to-end median, in its worse direction
+GATE_FACTOR = 2.0
+#: per-layer metrics timed on the host (besides ``*.self_s`` and ``*.share``)
+HOST_TIMED = {
+    "trace.overhead", "sim.executed_events_per_s", "cluster.shard.compute_share",
+    "cluster.shard.barrier_wait_share", "cluster.shard.imbalance",
+}
+
+
+def load_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def simulated(name: str) -> bool:
+    """Whether a per-layer metric is a function of the simulated run."""
+    return not name.endswith((".self_s", ".share")) and name not in HOST_TIMED
+
+
+def quartiles(values: list) -> tuple:
+    """(median, q1, q3), computed the way ``benchmark/run.py`` does."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        return median, q1, q3
+    return values[0], values[0], values[0]
+
+
+def verdict(metric: dict, ref: list, new: list) -> dict:
+    """Paired samples of one end-to-end metric (``new``: the working tree)."""
+    higher = metric["better"] == "higher"
+    wins = sum((b > a) if higher else (b < a) for a, b in zip(ref, new))
+    ref_q, new_q = quartiles(ref), quartiles(new)
+    # how much better the working tree's median is, in the metric's units
+    gap = new_q[0] - ref_q[0] if higher else ref_q[0] - new_q[0]
+    iqr = ref_q[2] - ref_q[1]
+    bound = metric["bound"] * abs(ref_q[0])
+    n = len(ref)
+    if n < MIN_PAIRS:
+        call = "unresolved"
+    elif wins >= GAIN_WINS * n and gap > iqr:
+        call = "gain"
+    elif -gap > bound:
+        call = "worse"
+    elif iqr > bound:
+        call = "unresolved"
+    else:
+        call = "parity"
+    ratios = [b / a for a, b in zip(ref, new) if a]
+    return {
+        "ref": list(ref_q), "new": list(new_q),
+        "ratio": statistics.median(ratios) if ratios else None,
+        "wins": wins, "pairs": n, "verdict": call,
+    }
+
+
+def run_side(tree: str, workload: str, args) -> dict:
+    """One ``benchmark/run.py --reps 1`` in ``tree``; its summary line,
+    or None after printing why it failed."""
+    cmd = [sys.executable, os.path.join(tree, "benchmark", "run.py"),
+           "--workload", workload, "--reps", "1"]
+    if args.smoke:
+        cmd.append("--smoke")
+    if args.seed is not None:
+        cmd += ["--seed", str(args.seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"ab: {' '.join(cmd[1:])} (in {tree}) exited {proc.returncode}:",
+              file=sys.stderr)
+        print(proc.stdout + proc.stderr, file=sys.stderr)
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _fmt(q: list) -> str:
+    return f"{q[0]:.4g} [{q[1]:.4g}, {q[2]:.4g}]"
+
+
+def ab(args, contract: dict) -> int:
+    try:
+        sha = git("rev-parse", "--verify", f"{args.ref}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"ab: {args.ref!r} is not a commit of this repository", file=sys.stderr)
+        return 2
+    differ = sorted(set(
+        git("diff", "--name-only", sha, "--", *SAME).splitlines()
+        + git("ls-files", "--others", "--exclude-standard", "--", *SAME).splitlines()
+    ))
+    if differ:
+        print(f"ab: refusing to compare: {', '.join(differ)} differ between "
+              f"{args.ref} and the working tree, so the two sides would not run "
+              "the same benchmark", file=sys.stderr)
+        return 2
+    workloads = args.workload or [w["name"] for w in contract["workloads"]]
+    tmp = tempfile.mkdtemp(prefix="ab-")
+    ref_tree = os.path.join(tmp, "ref")
+    results: dict = {}
+    try:
+        git("worktree", "add", "--detach", "--quiet", ref_tree, sha)
+        # byte-compile both trees, so neither side's first run pays for it
+        for tree in (ref_tree, ROOT):
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            os.path.join(tree, "src"), os.path.join(tree, "benchmark")],
+                           check=True, capture_output=True)
+        for workload in workloads:
+            samples = {"ref": [], "new": []}
+            for i in range(args.pairs):
+                order = ("ref", "new") if i % 2 == 0 else ("new", "ref")
+                for side in order:
+                    out = run_side(ref_tree if side == "ref" else ROOT, workload, args)
+                    if out is None:
+                        return 1
+                    samples[side].append(out["metrics"])
+                print(f"ab: {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            results[workload] = {
+                m["name"]: verdict(m, [s[m["name"]]["value"] for s in samples["ref"]],
+                                   [s[m["name"]]["value"] for s in samples["new"]])
+                for m in contract["end_to_end"]
+            }
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", ref_tree], cwd=ROOT,
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+
+    size = "smoke" if args.smoke else "full"
+    for workload, metrics in results.items():
+        print(f"== {workload} ({size}): working tree vs {args.ref} ({sha[:10]}), "
+              f"{args.pairs} pairs")
+        print(f"  {'metric':<18} {'REF median [q1, q3]':>32} "
+              f"{'tree median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  verdict")
+        for name, r in metrics.items():
+            ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3f}"
+            print(f"  {name:<18} {_fmt(r['ref']):>32} {_fmt(r['new']):>32} "
+                  f"{ratio:>7} {r['wins']:>3}/{r['pairs']:<2}  {r['verdict']}")
+    print(json.dumps({"ref": args.ref, "sha": sha, "size": size, "seed": args.seed,
+                      "pairs": args.pairs, "workloads": results}))
+    return 0
+
+
+def gate(record_path: str, run_path: str, contract: dict) -> int:
+    record, run = load_json(record_path), load_json(run_path)
+    rec = {w["workload"]: w for w in record["workloads"]}
+    new = {w["workload"]: w for w in run["workloads"]}
+    failures = [f"{w}: missing from {run_path}" for w in rec if w not in new]
+    failures += [f"{w}: missing from {record_path}" for w in new if w not in rec]
+    exact = [m["name"] for m in contract["per_layer"] if simulated(m["name"])]
+    checked = 0
+    for workload in [w for w in rec if w in new]:
+        a, b = rec[workload], new[workload]
+        if a["size"] != b["size"] or "layers" not in a or "layers" not in b:
+            failures.append(f"{workload}: not two traced runs of one size "
+                            f"({a['size']} vs {b['size']})")
+            continue
+        for metric in contract["end_to_end"]:
+            name = metric["name"]
+            ra, rb = a["summary"][name]["median"], b["summary"][name]["median"]
+            worse = rb / ra if metric["better"] == "lower" else ra / rb
+            if worse > GATE_FACTOR:
+                failures.append(f"{workload}: {name} median {rb:.4g} vs recorded "
+                                f"{ra:.4g} is {worse:.2f}x worse (limit {GATE_FACTOR}x)")
+        for name in exact:
+            if a["layers"][name] != b["layers"][name]:
+                failures.append(f"{workload}: {name} {b['layers'][name]!r} != recorded "
+                                f"{a['layers'][name]!r}")
+        checked += 1
+    for f in failures:
+        print(f"GATE FAILED: {f}")
+    if failures:
+        return 1
+    print(f"gate ok: {checked} workloads, end-to-end medians within "
+          f"{GATE_FACTOR}x of {record_path}, {len(exact)} simulated per-layer "
+          "metrics equal")
+    return 0
+
+
+def main(argv=None) -> int:
+    contract = load_json(os.path.join(ROOT, "BENCHMARK.json"))
+    ap = argparse.ArgumentParser(
+        description="Paired A/B of benchmark/run.py between a git ref and the "
+        "working tree, or (--gate) CI's wall gate against a committed record.")
+    ap.add_argument("ref", nargs="?", metavar="REF",
+                    help="git ref to compare the working tree against")
+    ap.add_argument("--gate", nargs=2, metavar=("RECORD", "RUN"),
+                    help="check a smoke --trace run against a committed record")
+    ap.add_argument("--workload", action="append",
+                    choices=[w["name"] for w in contract["workloads"]],
+                    help="workload to compare (repeatable; default: all)")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating pairs per workload (default 10)")
+    ap.add_argument("--smoke", action="store_true", help="the benchmark's small sizes")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="root seed passed to benchmark/run.py (default: its own)")
+    args = ap.parse_args(argv)
+    if (args.ref is None) == (args.gate is None):
+        ap.error("give either REF or --gate RECORD RUN")
+    if args.gate:
+        return gate(*args.gate, contract)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    return ab(args, contract)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
