@@ -102,7 +102,6 @@ class Node:
         queue_factory: Callable = TaskQueue,
         registry=None,
         summary_fastpath: bool = True,
-        quiescence_leap: Optional[bool] = None,
     ) -> None:
         self.id = node_id
         self.machine = machine
@@ -121,7 +120,6 @@ class Node:
             name=f"pioman@{node_id}",
             registry=registry,
             summary_fastpath=summary_fastpath,
-            quiescence_leap=quiescence_leap,
         )
         self.nics: list[Nic] = [
             fabric.new_nic(node_id, drv, index=i) for i, drv in enumerate(drivers)
@@ -147,12 +145,12 @@ class Node:
 class Cluster:
     """N homogeneous nodes over one fabric and one virtual clock.
 
-    ``quiescence_leap`` selects the idle-poll fast-forward per cluster,
-    without the ``REPRO_LEAP`` env game (A/B runs build two clusters side
-    by side).  ``shard`` (a :class:`ShardSpec` or ``(index, count)``)
-    instantiates only the nodes that shard owns: ``id % count == index``,
-    or the spec's ownership table when it has one (module docstring).  In
-    a sharded build, ``nnodes`` stays the *global* node count.
+    Idle cores park on doorbells, so the quiescence leap (which only
+    runs on ``true_spin`` schedulers) never applies to a cluster.
+    ``shard`` (a :class:`ShardSpec` or ``(index, count)``) instantiates
+    only the nodes that shard owns: ``id % count == index``, or the
+    spec's ownership table when it has one (module docstring).  In a
+    sharded build, ``nnodes`` stays the *global* node count.
 
     A fault plan gets one injector per node (seed =
     ``derive_seed(plan.seed, "node{id}")``), registered under
@@ -174,7 +172,6 @@ class Cluster:
         registry=None,
         summary_fastpath: bool = True,
         faults: Optional[FaultPlan] = None,
-        quiescence_leap: Optional[bool] = None,
         shard=None,
     ) -> None:
         if nnodes < 1:
@@ -211,7 +208,6 @@ class Cluster:
                 queue_factory=queue_factory,
                 registry=registry,
                 summary_fastpath=summary_fastpath,
-                quiescence_leap=quiescence_leap,
             )
             for i in local_ids
         ]

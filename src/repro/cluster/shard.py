@@ -175,13 +175,6 @@ class ShardRunner:
             "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
 
-    def trace_doc(self, meta: Optional[dict] = None) -> dict:
-        """This shard's records as a Chrome-trace document (for merging
-        into one timeline via :func:`repro.obs.merge.merge_trace_docs`)."""
-        from repro.obs.chrometrace import chrome_trace
-
-        return chrome_trace(self.cluster.tracer, meta=meta)
-
 
 def _stable_data(data: Optional[dict]) -> str:
     """A canonical rendering of a trace record's data dict."""

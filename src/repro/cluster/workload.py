@@ -271,7 +271,6 @@ def build_workload_cluster(
     shard=None,
     *,
     spec: WorkloadSpec,
-    quiescence_leap: Optional[bool] = None,
     trace: bool = False,
     trace_limit: int = 2_000_000,
     machine: str = "smp2x2",
@@ -318,7 +317,6 @@ def build_workload_cluster(
         seed=spec.seed,
         registry=registry,
         tracer=tracer,
-        quiescence_leap=quiescence_leap,
         faults=faults,
         shard=shard,
     )

@@ -172,15 +172,16 @@ class QuiescenceLeap:
             st = idle.state
             if st is blocked:
                 ev = idle.sleep_event
-                # NB: bound-method *equality* (same __self__, same
-                # __func__) — attribute access mints a fresh bound
-                # object, so ``is`` would never match the one stored on
-                # the carrier
+                # an idle carrier is known by its callback and the thread
+                # it carries.  NB: bound-method *equality* (same
+                # __self__, same __func__) — attribute access mints a
+                # fresh bound object, so ``is`` would never match the one
+                # stored on the carrier
                 if (
                     ev is None
                     or not ev.alive
                     or ev.fn != sleep_wake
-                    or ev.args is not idle.wake_args
+                    or ev.args[0] is not idle
                     or cur[cid] is not None
                 ):
                     continue
@@ -198,7 +199,7 @@ class QuiescenceLeap:
                 ):
                     continue
                 ev = ce[0]
-                if not ev.alive or ev.fn != advance or ev.args is not idle.adv_args:
+                if not ev.alive or ev.fn != advance or ev.args[1] is not idle:
                     continue
                 shape = _MIDCYCLE
                 anchor = ev.time  # the cycle's completion instant
@@ -370,7 +371,6 @@ class QuiescenceLeap:
         busy = sched._busy
         preempt = sched._preempt
         leap_commit = manager.leap_commit
-        pool = engine._pool
         for i, (cid, idle, ev, shape, anchor, c) in enumerate(committed):
             nw = wakes[i]
             exit_mid = pend[i] is not None
@@ -401,13 +401,13 @@ class QuiescenceLeap:
                     )
                 idle.compute_event = None
             # the old carrier's fire was replayed as this core's seed
-            # event; kill the queued entry (lazily drained + recycled)
+            # event; kill the queued entry (lazily drained)
             ev.cancel()
             if exit_mid:
                 # Exit straddler: move the generator from the cycle
                 # Sleep to the fast-path Compute yield (one resume — it
                 # books the pass's count and fast-pass counters itself),
-                # then emulate _advance's inline Compute slice: pending
+                # then emulate _advance's Compute slice: pending
                 # completion carrier, core left running the batch.
                 wlast, ta, cseq = pend[i]
                 engine.now = wlast
@@ -422,16 +422,7 @@ class QuiescenceLeap:
                         "quiescence leap: straddling-cycle resume did not "
                         f"yield the batched pass Compute (got {instr!r})"
                     )
-                if pool:
-                    nev = pool.pop()
-                    nev.time = ta
-                    nev.seq = cseq
-                    nev.fn = advance
-                    nev.args = idle.adv_args
-                    nev.alive = True
-                else:
-                    nev = Event(ta, cseq, advance, idle.adv_args)
-                    nev._pooled = True
+                nev = Event(ta, cseq, advance, (cid, idle))
                 nev._engine = engine
                 engine._live += 1
                 engine._enqueue((ta, cseq, None, nev))
@@ -451,16 +442,7 @@ class QuiescenceLeap:
                 cur[cid] = None
                 preempt[cid] = False
                 st, ss = survivor[i]
-                if pool:
-                    nev = pool.pop()
-                    nev.time = st
-                    nev.seq = ss
-                    nev.fn = sleep_wake
-                    nev.args = idle.wake_args
-                    nev.alive = True
-                else:
-                    nev = Event(st, ss, sleep_wake, idle.wake_args)
-                    nev._pooled = True
+                nev = Event(st, ss, sleep_wake, (idle,))
                 nev._engine = engine
                 engine._live += 1
                 engine._enqueue((st, ss, None, nev))

@@ -128,7 +128,7 @@ class PIOMan:
         # _fast_pairs replays the probe counters of a settled-empty path
         # ((queue stats, line stats) per level), _fast_compute is the
         # reusable batched-cost instruction (instructions are read-only to
-        # the interpreter, like the idle loop's pooled instances), and
+        # the interpreter, like the idle loop's reused instances), and
         # _scan_entries carries the per-queue replay tuple for the dequeue
         # loop: (queue, bit, queue stats, line, line stats, replayable).
         self.summary_fastpath = bool(summary_fastpath)
@@ -346,6 +346,8 @@ class PIOMan:
         stats, sstats, pairs, compute = self._fast_ctx[core]
         stats.schedule_passes += 1
         sstats.summary_hits += 1
+        # each level's probe would be a local hit on an empty queue
+        # (priming guarantees this core shares every emptiness line)
         for qstats, lstats in pairs:
             lstats.reads += 1
             lstats.read_hits += 1
@@ -415,29 +417,21 @@ class PIOMan:
         contended = False
         engine = self.engine
         pass_start = engine.now
-        self.stats.schedule_passes += 1
         hier = self.hierarchy
         fast_on = self.summary_fastpath
         if fast_on:
-            sstats = hier.summary_stats
-            if hier.primed_mask >> core & 1:
-                # O(1) empty pass: the path is settled-empty and nothing
-                # was written since it was proven so.  Replay the slow
-                # walk's exact accounting: each level's probe would be a
-                # local hit on an empty queue (priming guarantees this
-                # core is a sharer of every level's emptiness line).
-                sstats.summary_hits += 1
-                for qstats, lstats in self._fast_pairs[core]:
-                    lstats.reads += 1
-                    lstats.read_hits += 1
-                    qstats.empty_checks += 1
-                yield self._fast_compute[core]
+            # O(1) empty pass when the path is settled-empty and nothing
+            # was written since it was proven so (see fast_pass)
+            instr = self.fast_pass(core)
+            if instr is not None:
+                yield instr
                 self._rec_pass_empty(engine.now - pass_start)
                 return 0, 0, False
             if hier.summary & self._scan_masks[core]:
-                sstats.summary_misses += 1
+                hier.summary_stats.summary_misses += 1
             else:
-                sstats.stale_bits += 1
+                hier.summary_stats.stale_bits += 1
+        self.stats.schedule_passes += 1
         # Batched-probe path: probe the whole scan path first and charge
         # one batch of read costs.  When everything is (visibly) empty,
         # the pass costs a single event.

@@ -16,11 +16,8 @@ Complementary views of one simulation run:
 * :func:`analyze_trace` / :func:`format_analysis` — offline analysis of a
   live tracer or an exported trace file: per-core utilization, per-level
   submit→run percentiles, lock contention, slowest tasks.
-* :func:`merge_snapshots` / :func:`sum_snapshots` /
-  :func:`union_snapshots` / :func:`merge_trace_docs` — order-independent
-  folding of per-job / per-shard
-  snapshots and trace documents from ``repro.par`` fan-out runs back
-  into one canonical artifact.
+* :func:`union_snapshots` — order-independent folding of the per-shard
+  snapshots of a node-sharded cluster run into the single-process one.
 * :func:`extract_critical_path` / :func:`format_critical_path` — walk
   the causal edges backward from the last completion and attribute the
   makespan to subsystems and topology levels.
@@ -54,12 +51,7 @@ from repro.obs.gantt import (
     write_gantt_svg,
 )
 from repro.obs.histogram import Histogram
-from repro.obs.merge import (
-    merge_snapshots,
-    merge_trace_docs,
-    sum_snapshots,
-    union_snapshots,
-)
+from repro.obs.merge import union_snapshots
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -78,12 +70,9 @@ __all__ = [
     "format_analysis",
     "format_critical_path",
     "format_diff",
-    "merge_snapshots",
-    "merge_trace_docs",
     "union_snapshots",
     "render_gantt_svg",
     "render_gantt_term",
-    "sum_snapshots",
     "write_chrome_trace",
     "write_gantt_svg",
 ]

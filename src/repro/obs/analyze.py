@@ -30,6 +30,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
+from repro.obs.chrometrace import chrome_trace
+
 #: queue-level display names, innermost first — "node" is the paper's name
 #: for the NUMA level, "global" for the machine-spanning root queue
 LEVEL_ORDER = ("core", "cache", "chip", "node", "global")
@@ -63,7 +65,7 @@ def _percentile(sorted_vals: list[int], p: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# normalized events (the common denominator of both ingest paths)
+# normalized events
 # ---------------------------------------------------------------------------
 @dataclass
 class _Run:
@@ -235,78 +237,42 @@ class TraceAnalysis:
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
-def _events_from_tracer(
-    tracer,
-) -> tuple[list[_Run], list[_Submit], list[_LockWait], list[_FaultEvent], list[_Edge]]:
+TraceSource = Union["Tracer", dict]  # noqa: F821 - Tracer duck-typed
+
+
+@dataclass
+class _Trace:
+    """One trace parsed into normalized events, with its traced span
+    (first to last timestamp of any event) and its ``otherData``."""
+
+    runs: list[_Run]
+    submits: list[_Submit]
+    locks: list[_LockWait]
+    faults: list[_FaultEvent]
+    edges: list[_Edge]
+    #: non-metadata trace events (one per tracer record)
+    events: int
+    t_start: int
+    t_end: int
+    other: dict
+
+
+def _ingest(source: TraceSource) -> _Trace:
+    """Parse a loaded Chrome-trace document, or a live ``Tracer`` after
+    exporting it with :func:`~repro.obs.chrometrace.chrome_trace` — one
+    parser, the one the ``analyze``/``render`` CLI runs on files."""
+    doc = chrome_trace(source) if hasattr(source, "records") else source
     runs: list[_Run] = []
     submits: list[_Submit] = []
     locks: list[_LockWait] = []
     faults: list[_FaultEvent] = []
     edges: list[_Edge] = []
-    for rec in tracer.records:
-        data = rec.data or {}
-        phase = data.get("phase")
-        if phase == "edge":
-            end = rec.time
-            edges.append(
-                _Edge(
-                    kind=str(data.get("edge", "")),
-                    cause=str(data.get("cause", "")),
-                    effect=str(data.get("effect", "")),
-                    start=min(int(data.get("start", end)), end),
-                    end=end,
-                    queue=str(data.get("queue", "")),
-                )
-            )
-        elif phase == "run" and "start" in data:
-            start = min(data["start"], rec.time)
-            runs.append(
-                _Run(
-                    task=str(data.get("task") or rec.message),
-                    core=int(data.get("core", -1)),
-                    queue=str(data.get("queue", "")),
-                    start=start,
-                    end=rec.time,
-                    complete=bool(data.get("complete")),
-                )
-            )
-        elif phase == "submit":
-            submits.append(
-                _Submit(
-                    task=str(data.get("task") or rec.message),
-                    core=int(data.get("core", -1)),
-                    queue=str(data.get("queue", "")),
-                    time=rec.time,
-                )
-            )
-        elif phase == "lock":
-            start = min(data.get("start", rec.time), rec.time)
-            locks.append(
-                _LockWait(
-                    lock=str(data.get("lock", "")),
-                    core=int(data.get("core", -1)),
-                    wait_ns=int(data.get("wait_ns", rec.time - start)),
-                    start=start,
-                    end=rec.time,
-                )
-            )
-        elif phase == "fault":
-            faults.append(
-                _FaultEvent(kind=str(data.get("fault", "unknown")), time=rec.time)
-            )
-    return runs, submits, locks, faults, edges
-
-
-def _events_from_doc(
-    doc: dict,
-) -> tuple[list[_Run], list[_Submit], list[_LockWait], list[_FaultEvent], list[_Edge]]:
-    runs: list[_Run] = []
-    submits: list[_Submit] = []
-    locks: list[_LockWait] = []
-    faults: list[_FaultEvent] = []
-    edges: list[_Edge] = []
+    events = 0
     for ev in doc.get("traceEvents", ()):
         ph = ev.get("ph")
+        if ph == "M":
+            continue
+        events += 1
         args = ev.get("args") or {}
         if ph == "X":
             start = int(round(ev["ts"] * 1000))
@@ -360,15 +326,26 @@ def _events_from_doc(
                         time=t,
                     )
                 )
-    return runs, submits, locks, faults, edges
+    times = (
+        [r.start for r in runs]
+        + [r.end for r in runs]
+        + [s.time for s in submits]
+        + [lk.start for lk in locks]
+        + [lk.end for lk in locks]
+        + [f.time for f in faults]
+        + [e.start for e in edges]
+        + [e.end for e in edges]
+    )
+    return _Trace(
+        runs, submits, locks, faults, edges, events,
+        min(times, default=0), max(times, default=0),
+        doc.get("otherData") or {},
+    )
 
 
 # ---------------------------------------------------------------------------
 # the analysis itself
 # ---------------------------------------------------------------------------
-TraceSource = Union["Tracer", dict]  # noqa: F821 - Tracer duck-typed
-
-
 def analyze_trace(
     source: TraceSource,
     *,
@@ -384,35 +361,18 @@ def analyze_trace(
     into ``otherData`` is used automatically.  ``scenario`` names the run
     in the ``meta`` header (falls back to ``otherData.scenario``).
     """
-    if hasattr(source, "records"):
-        runs, submits, locks, faults, edges = _events_from_tracer(source)
-        total_events = len(source.records)
-    else:
-        runs, submits, locks, faults, edges = _events_from_doc(source)
-        total_events = sum(
-            1 for ev in source.get("traceEvents", ()) if ev.get("ph") != "M"
-        )
-        other = source.get("otherData") or {}
-        if ncores is None:
-            meta_n = other.get("ncores")
-            ncores = int(meta_n) if meta_n else None
-        if scenario is None:
-            scenario = other.get("scenario") or None
+    trace = _ingest(source)
+    runs, submits, locks, faults = trace.runs, trace.submits, trace.locks, trace.faults
+    total_events = trace.events
+    if ncores is None:
+        meta_n = trace.other.get("ncores")
+        ncores = int(meta_n) if meta_n else None
+    if scenario is None:
+        scenario = trace.other.get("scenario") or None
 
     out = TraceAnalysis(submits=len(submits), runs=len(runs))
     out.fault_events = len(faults)
-    times = (
-        [r.start for r in runs]
-        + [r.end for r in runs]
-        + [s.time for s in submits]
-        + [lk.start for lk in locks]
-        + [lk.end for lk in locks]
-        + [f.time for f in faults]
-        + [e.start for e in edges]
-        + [e.end for e in edges]
-    )
-    if times:
-        out.t_start, out.t_end = min(times), max(times)
+    out.t_start, out.t_end = trace.t_start, trace.t_end
     span = out.span_ns  # 0 on empty/degenerate traces: report n/a, not 0%
     out.meta = {
         "makespan_ns": span,

@@ -42,12 +42,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from repro.obs.analyze import (
-    _Edge,
-    _events_from_doc,
-    _events_from_tracer,
-    queue_level,
-)
+from repro.obs.analyze import _Edge, _ingest, queue_level
 
 #: edge kind -> attribution bucket
 _CATEGORY = {
@@ -127,61 +122,6 @@ class CriticalPath:
 
 
 # ---------------------------------------------------------------------------
-# ingestion
-# ---------------------------------------------------------------------------
-def _edges_from_merged_doc(doc: dict) -> list[_Edge]:
-    """Doc-path edge ingest with per-job node namespacing.
-
-    A ``--jobs N`` merged trace interleaves independent simulations whose
-    task names collide (every job has a ``perf0``); prefixing node ids
-    with the merged pid keeps each job's causal graph separate."""
-    edges: list[_Edge] = []
-    for ev in doc.get("traceEvents", ()):
-        if ev.get("ph") != "i":
-            continue
-        args = ev.get("args") or {}
-        if "edge" not in args:
-            continue
-        t = int(round(ev.get("ts", 0) * 1000))
-        pfx = f"p{ev.get('pid', 0)}:"
-        edges.append(
-            _Edge(
-                kind=str(args.get("edge", "")),
-                cause=pfx + str(args.get("cause", "")),
-                effect=pfx + str(args.get("effect", "")),
-                start=min(int(args.get("start", t)), t),
-                end=t,
-                queue=str(args.get("queue", "")),
-            )
-        )
-    return edges
-
-
-def _ingest(source) -> tuple[list[_Edge], list, int, int]:
-    """Return (edges, lock_waits, t_start, t_end) for a tracer or doc."""
-    if hasattr(source, "records"):
-        runs, submits, locks, faults, edges = _events_from_tracer(source)
-    else:
-        runs, submits, locks, faults, edges = _events_from_doc(source)
-        jobs = (source.get("otherData") or {}).get("jobs")
-        if jobs and len(jobs) > 1:
-            edges = _edges_from_merged_doc(source)
-    times = (
-        [r.start for r in runs]
-        + [r.end for r in runs]
-        + [s.time for s in submits]
-        + [lk.start for lk in locks]
-        + [lk.end for lk in locks]
-        + [f.time for f in faults]
-        + [e.start for e in edges]
-        + [e.end for e in edges]
-    )
-    t_start = min(times) if times else 0
-    t_end = max(times) if times else 0
-    return edges, locks, t_start, t_end
-
-
-# ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
 def extract_critical_path(source: Union["Tracer", dict]) -> CriticalPath:  # noqa: F821
@@ -190,7 +130,8 @@ def extract_critical_path(source: Union["Tracer", dict]) -> CriticalPath:  # noq
     Accepts a live ``Tracer`` or a loaded Chrome-trace document.  A trace
     with no causal edges yields a single ``untraced`` segment spanning the
     whole trace (or an empty path for an empty trace)."""
-    edges, locks, t_start, t_end = _ingest(source)
+    trace = _ingest(source)
+    edges, locks, t_start, t_end = trace.edges, trace.locks, trace.t_start, trace.t_end
     cp = CriticalPath(t_start=t_start, edge_count=len(edges))
     cp.totals = {c: 0 for c in CATEGORIES}
 

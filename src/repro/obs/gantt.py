@@ -19,10 +19,9 @@ anything — CI uploads the SVG as an artifact next to the JSON trace.
 from __future__ import annotations
 
 import html
-import json
 from typing import Optional, Union
 
-from repro.obs.analyze import _events_from_doc, _events_from_tracer
+from repro.obs.analyze import _ingest
 from repro.obs.critpath import CriticalPath, extract_critical_path
 
 #: critical-path bucket colors (shared by SVG and legend)
@@ -52,30 +51,14 @@ _POLL_COLOR = "#a0cbe8"  # repeat poll slice
 _FAULT_COLOR = "#e15759"
 
 
-def _ingest(source):
-    """(runs, faults, t_start, t_end, ncores) from a tracer or doc."""
-    ncores = None
-    if hasattr(source, "records"):
-        runs, submits, locks, faults, edges = _events_from_tracer(source)
-    else:
-        runs, submits, locks, faults, edges = _events_from_doc(source)
-        meta_n = (source.get("otherData") or {}).get("ncores")
-        ncores = int(meta_n) if meta_n else None
-    times = (
-        [r.start for r in runs]
-        + [r.end for r in runs]
-        + [s.time for s in submits]
-        + [lk.start for lk in locks]
-        + [lk.end for lk in locks]
-        + [f.time for f in faults]
-        + [e.start for e in edges]
-        + [e.end for e in edges]
-    )
-    t0 = min(times) if times else 0
-    t1 = max(times) if times else 0
-    max_core = max((r.core for r in runs), default=-1)
-    n = max(ncores or 0, max_core + 1)
-    return runs, faults, t0, t1, n
+def _lanes(source):
+    """(runs, faults, t_start, t_end, ncores) of a tracer or doc; the core
+    count covers the doc's stamped ``ncores`` and every core that ran."""
+    trace = _ingest(source)
+    meta_n = trace.other.get("ncores")
+    max_core = max((r.core for r in trace.runs), default=-1)
+    n = max(int(meta_n) if meta_n else 0, max_core + 1)
+    return trace.runs, trace.faults, trace.t_start, trace.t_end, n
 
 
 def _fmt_ns(ns: int) -> str:
@@ -98,7 +81,7 @@ def render_gantt_svg(
     title: str = "",
 ) -> str:
     """Render the trace as a self-contained SVG string."""
-    runs, faults, t0, t1, ncores = _ingest(source)
+    runs, faults, t0, t1, ncores = _lanes(source)
     if critical_path is None:
         critical_path = extract_critical_path(source)
     span = max(t1 - t0, 1)
@@ -264,7 +247,7 @@ def render_gantt_term(
     polls; the ``cpath`` row spells the dominant attribution bucket of
     each time bin (C=compute Q=queue L=lock N=nic R=retransmit W=wakeup
     .=untraced)."""
-    runs, faults, t0, t1, ncores = _ingest(source)
+    runs, faults, t0, t1, ncores = _lanes(source)
     if critical_path is None:
         critical_path = extract_critical_path(source)
     span = max(t1 - t0, 1)
@@ -317,13 +300,3 @@ def render_gantt_term(
     )
     return "\n".join(lines)
 
-
-def render_gantt_file(
-    path: str, *, width: int = 1000, term: bool = False, term_width: int = 72
-) -> str:
-    """Load a trace JSON and render (SVG string, or terminal when ``term``)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if term:
-        return render_gantt_term(doc, width=term_width)
-    return render_gantt_svg(doc, width=width)

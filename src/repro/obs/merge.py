@@ -1,64 +1,16 @@
-"""Order-independent merging of per-job observability outputs.
+"""Disjoint-union merging of per-shard metrics snapshots.
 
-When ``repro.par`` fans scenario runs out over worker processes, each job
-comes back with its own flat :meth:`~repro.obs.MetricsRegistry.snapshot`
-and (optionally) its own Chrome-trace document.  Jobs complete in host
-scheduler order — these helpers fold any completion order into one
-canonical artifact, so a parallel run's merged output is byte-identical
-to the serial run's.
-
-Three snapshot merges exist because the shards mean different things:
-
-* :func:`merge_snapshots` — *heterogeneous* jobs (different scenarios):
-  each shard is namespaced under its job name, nothing is added up;
-* :func:`sum_snapshots` — *homogeneous* shards of one logical run (e.g.
-  the same scenario sharded by repetition range): counters with the same
-  path are summed;
-* :func:`union_snapshots` — *partitioned* shards of one logical world
-  (node-sharded cluster simulation): every path belongs to exactly one
-  shard, so the merge is a strict disjoint union — a duplicate path is a
-  partitioning bug and raises rather than silently summing.
+A node-sharded cluster simulation (:mod:`repro.cluster.shard`) comes
+back as one flat :meth:`~repro.obs.MetricsRegistry.snapshot` per shard.
+:func:`union_snapshots` folds them into the single-process snapshot, in
+any shard order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Number = Union[int, float]
-
-
-def merge_snapshots(
-    named: Sequence[tuple[str, Mapping[str, Number]]]
-) -> dict[str, Number]:
-    """Fold ``(job_name, snapshot)`` shards into one namespaced snapshot.
-
-    Every counter path becomes ``"{job_name}.{path}"``; the result is
-    key-sorted, so any permutation of ``named`` yields the same dict.
-    Duplicate job names are rejected — they would silently shadow.
-    """
-    names = [name for name, _ in named]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate snapshot names: {names}")
-    flat: dict[str, Number] = {}
-    for name, snap in named:
-        for path, value in snap.items():
-            flat[f"{name}.{path}"] = value
-    return dict(sorted(flat.items()))
-
-
-def sum_snapshots(
-    snapshots: Sequence[Mapping[str, Number]]
-) -> dict[str, Number]:
-    """Sum homogeneous shards path-wise (missing paths count as 0).
-
-    Addition is commutative, so the result is independent of shard
-    order; keys are sorted for stable serialization.
-    """
-    total: dict[str, Number] = {}
-    for snap in snapshots:
-        for path, value in snap.items():
-            total[path] = total.get(path, 0) + value
-    return dict(sorted(total.items()))
 
 
 def union_snapshots(
@@ -83,55 +35,3 @@ def union_snapshots(
                 )
             merged[path] = value
     return dict(sorted(merged.items()))
-
-
-def _event_key(event: Mapping[str, Any]):
-    """Deterministic total order for trace events: time, then process,
-    thread, phase and name break ties identically in any input order."""
-    return (
-        event.get("ts", 0),
-        event.get("pid", 0),
-        event.get("tid", 0),
-        str(event.get("ph", "")),
-        str(event.get("name", "")),
-        str(event.get("cat", "")),
-    )
-
-
-def merge_trace_docs(
-    named: Sequence[tuple[str, Mapping[str, Any]]]
-) -> dict[str, Any]:
-    """Combine per-job Chrome-trace documents into one timeline.
-
-    Each job's events are moved onto their own ``pid`` (the job's index
-    in *name-sorted* order — stable under any completion order) with the
-    job name recorded in ``otherData.jobs``; the combined event list is
-    re-sorted by :func:`_event_key`.  Per-job ``recorded``/``dropped``
-    tallies are summed; other metadata is kept under the job's entry.
-    """
-    names = [name for name, _ in named]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate trace names: {names}")
-    events: list[dict[str, Any]] = []
-    jobs_meta: dict[str, Any] = {}
-    recorded = dropped = 0
-    for name, doc in sorted(named, key=lambda nd: nd[0]):
-        pid = len(jobs_meta)
-        other = dict(doc.get("otherData", {}))
-        recorded += other.pop("recorded", 0)
-        dropped += other.pop("dropped", 0)
-        jobs_meta[name] = {"pid": pid, **other}
-        for event in doc.get("traceEvents", []):
-            moved = dict(event)
-            moved["pid"] = pid
-            events.append(moved)
-    events.sort(key=_event_key)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "recorded": recorded,
-            "dropped": dropped,
-            "jobs": jobs_meta,
-        },
-    }

@@ -54,10 +54,6 @@ WHEEL_SHIFT = 12
 WHEEL_SLOTS = 256
 WHEEL_MASK = WHEEL_SLOTS - 1
 
-#: free-pool cap: recycled carriers beyond this are dropped so a bursty
-#: scenario cannot retain an unbounded free list forever.
-POOL_CAP = 4096
-
 #: leap-consult threshold of runs that never consult the leap: later
 #: than any virtual time a run reaches
 _NEVER = 1 << 62
@@ -77,11 +73,10 @@ class Event:
     ``cancel()`` marks the event dead and the engine skips dead events
     when they surface.  ``_engine`` is set while the event is queued and
     cancellable, so cancellation can maintain the engine's O(1) live
-    count; ``_pooled`` events are internal carriers that return to the
-    engine's free pool after firing or surfacing dead.
+    count.  A fired or cancelled handle is simply dropped.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "alive", "_engine", "_pooled")
+    __slots__ = ("time", "seq", "fn", "args", "alive", "_engine")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
@@ -90,7 +85,6 @@ class Event:
         self.args = args
         self.alive = True
         self._engine: Optional["Engine"] = None
-        self._pooled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
@@ -164,11 +158,6 @@ class Engine:
         self._seq: int = 0
         self._live: int = 0
         self._running = False
-        #: free pool of recycled cancellable Event carriers: the
-        #: scheduler's inlined Compute slices and idle sleeps (and the
-        #: quiescence leap's re-armed carriers) check carriers out of it;
-        #: the engine returns them after they fire or surface dead
-        self._pool: list[Event] = []
         #: number of callbacks actually executed (dead events excluded)
         self.fired: int = 0
         #: callables polled when the queue drains; if any returns True the
@@ -224,12 +213,6 @@ class Engine:
     def pending(self) -> int:
         """Number of live events still queued (O(1))."""
         return self._live
-
-    def _recycle(self, ev: Event) -> None:
-        """Return a dead or fired pooled carrier to the free pool (capped)."""
-        ev.fn = ev.args = None
-        if len(self._pool) < POOL_CAP:
-            self._pool.append(ev)
 
     def blocked_actors(self) -> int:
         """Actors currently blocked, summed over the registered reporters.
@@ -401,8 +384,8 @@ class Engine:
         quiescence leap has classified as elidable periodic idle
         carriers; everything else — fire-and-forget posts, other
         handles — is *external* and bounds the leap.  Returns None when
-        no external event is queued.  Read-only: never pops, recycles,
-        or reorders queue state.
+        no external event is queued.  Read-only: never pops or reorders
+        queue state.
 
         Walks the engine tiers cheapest-first without scanning past the
         answer: the same-instant FIFO (any live non-carrier entry bounds
@@ -452,8 +435,7 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is drained.
 
-        Skims dead entries off the front (recycling pooled carriers)
-        exactly like the run loop would.
+        Skims dead entries off the front exactly like the run loop would.
         """
         if self._nowq:
             self._flush_nowq()
@@ -468,9 +450,6 @@ class Engine:
                 e = lst[0]
                 if e[2] is None and not e[3].alive:
                     heappop(lst)
-                    ev = e[3]
-                    if ev._pooled:
-                        self._recycle(ev)
                     continue
                 return e[0]
             del bidx[0]
@@ -479,9 +458,6 @@ class Engine:
             e = over[0]
             if e[2] is None and not e[3].alive:
                 heappop(over)
-                ev = e[3]
-                if ev._pooled:
-                    self._recycle(ev)
                 continue
             return e[0]
         return None
@@ -511,11 +487,7 @@ class Engine:
         else:
             ev = e[3]
             ev._engine = None
-            efn = ev.fn
-            eargs = ev.args
-            if ev._pooled:
-                self._recycle(ev)
-            efn(*eargs)
+            ev.fn(*ev.args)
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -534,7 +506,6 @@ class Engine:
         SLOTS = WHEEL_SLOTS
         slots = self._slots
         over = self._over
-        pool = self._pool
         hi = until
         budget = max_events
         nfired = 0
@@ -639,10 +610,6 @@ class Engine:
                                     ev = e[3]
                                     if not ev.alive:
                                         i += 1
-                                        if ev._pooled:
-                                            ev.fn = ev.args = None
-                                            if len(pool) < POOL_CAP:
-                                                pool.append(ev)
                                         continue
                                 if budget is not None:
                                     if budget == 0:
@@ -656,13 +623,7 @@ class Engine:
                                     efn(*e[3])
                                 else:
                                     ev._engine = None
-                                    efn = ev.fn
-                                    eargs = ev.args
-                                    if ev._pooled:
-                                        ev.fn = ev.args = None
-                                        if len(pool) < POOL_CAP:
-                                            pool.append(ev)
-                                    efn(*eargs)
+                                    ev.fn(*ev.args)
                         except BaseException:
                             # drop the fired prefix (the raiser included:
                             # it counts as fired and must not refire on
@@ -680,11 +641,6 @@ class Engine:
                         e0 = batch[0]
                         if e0[2] is None and not e0[3].alive:
                             heappop(batch)
-                            ev = e0[3]
-                            if ev._pooled:
-                                ev.fn = ev.args = None
-                                if len(pool) < POOL_CAP:
-                                    pool.append(ev)
                             continue
                         if hi is not None and e0[0] > hi:
                             self.now = cur = hi
@@ -714,23 +670,11 @@ class Engine:
                         nfired += 1
                         ndone += 1
                         fn(*a)
-                    else:
-                        ev = a
-                        if ev.alive:
-                            nfired += 1
-                            ndone += 1
-                            ev._engine = None
-                            efn = ev.fn
-                            eargs = ev.args
-                            if ev._pooled:
-                                ev.fn = ev.args = None
-                                if len(pool) < POOL_CAP:
-                                    pool.append(ev)
-                            efn(*eargs)
-                        elif ev._pooled:  # recycle cancelled carriers
-                            ev.fn = ev.args = None
-                            if len(pool) < POOL_CAP:
-                                pool.append(ev)
+                    elif a.alive:
+                        nfired += 1
+                        ndone += 1
+                        a._engine = None
+                        a.fn(*a.args)
                 self._aend = -1
                 self._abuc = None
                 del bidx[0]

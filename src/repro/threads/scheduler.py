@@ -24,12 +24,10 @@ frequently fired callback in the simulator) keys everything by core id:
 the per-core state it touches — run queue, current thread, preempt flag,
 busy time — lives in parallel lists (``_rqs``/``_cur``/``_preempt``/
 ``_busy``) indexed by core id rather than as attributes of the
-:class:`CoreState` objects, and the engine posts it pre-built
-``(core_id, thread)`` args tuples interned on the thread.  Event posts
-on this path are inlined against the engine's timer-wheel tiers:
-same-instant events go to the ``_nowq`` FIFO, short-horizon events
-heappush into the actively draining bucket (``t <= engine._aend``, one
-compare), and everything else takes the engine's ``_insert`` cold path.
+:class:`CoreState` objects.  Every event goes through the engine's public
+API (``post``/``post_soon`` fire-and-forget, ``schedule`` for the
+cancellable Compute slices and sleeps): the scheduler relies only on the
+engine's ``(time, seq)`` firing order, never on its queue layout.
 
 Doorbells
 ---------
@@ -47,10 +45,8 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from heapq import heappush
-
 from repro.obs.histogram import Histogram
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.rng import Rng
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.threads.flag import Flag
@@ -199,9 +195,6 @@ class Scheduler:
         self._cur: list[Optional[SimThread]] = [None] * ncores
         self._preempt: list[bool] = [False] * ncores
         self._busy: list[int] = [0] * ncores
-        #: interned ``(core_id,)`` argument tuples for the inlined
-        #: ``post_soon(self._dispatch, cid)`` dispatch kicks
-        self._cid_args: list[tuple[int]] = [(i,) for i in range(ncores)]
         #: per-core marker: the idle generator is suspended at the fast
         #: path's batched-Compute yield (set/cleared by the idle body
         #: around that one yield).  The quiescence leap needs this to
@@ -500,13 +493,7 @@ class Scheduler:
         self._rqs[cid].append(thread)
         cur = self._cur[cid]
         if cur is None:
-            # engine.post_soon inlined: a dispatch kick is a same-instant
-            # event, i.e. one FIFO append
-            engine = self.engine
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._live += 1
-            engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
+            self.engine.post_soon(self._dispatch, cid)
         elif thread.prio < cur.prio:
             self._preempt[cid] = True
             if cur.spin_cancel is not None:
@@ -547,31 +534,14 @@ class Scheduler:
         nxt.state = TState.RUNNING
         if nxt.prio == Prio.NORMAL:
             self._arm_timer(core)
-        engine = self.engine
-        t = engine.now + switch_cost
-        nxt.instr_start = t
-        # engine.post/post_soon inlined: one dispatch per thread switch
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine._live += 1
-        if t == engine.now:
-            engine._nowq.append((t, seq, self._advance, nxt.adv_args))
-        elif t <= engine._aend:
-            heappush(engine._abuc, (t, seq, self._advance, nxt.adv_args))
-        else:
-            engine._insert((t, seq, self._advance, nxt.adv_args))
+        nxt.instr_start = self.engine.now + switch_cost
+        self.engine.post(switch_cost, self._advance, core_id, nxt)
 
     def _release_core(self, core_id: int) -> None:
         self._cur[core_id] = None
         self._preempt[core_id] = False
         if self._rqs[core_id]:
-            engine = self.engine
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._live += 1
-            engine._nowq.append(
-                (engine.now, seq, self._dispatch, self._cid_args[core_id])
-            )
+            self.engine.post_soon(self._dispatch, core_id)
 
     # -- keypoint hook injection ---------------------------------------
     def _maybe_inject_hook(
@@ -593,22 +563,9 @@ class Scheduler:
         if now - core.last_inject < self.ctx_hook_min_interval_ns:
             return
         core.last_inject = now
-        core.hook_live = True
-        core.keypoint_counts[kind] += 1
-        hook = self.progression_hook
-        hist = self.keypoint_ns[kind]
-
-        def body(ctx: ThreadCtx) -> Generator[Instr, Any, Any]:
-            t0 = self.engine.now
-            yield from hook(ctx.core_id)
-            hist.record(self.engine.now - t0)
-
-        t = self.spawn(body, core.id, name=f"hook-{kind.value}@{core.id}", prio=Prio.SYSTEM)
-        t.is_hook = True
+        self._spawn_hook(core, kind, kind.value)
         if self.tracer.enabled:
-            self.tracer.emit(
-                self.engine.now, "sched", f"core{core.id}", f"inject {kind.value} hook"
-            )
+            self.tracer.emit(now, "sched", f"core{core.id}", f"inject {kind.value} hook")
 
     def inject_keypoint(self, core_id: int) -> None:
         """Force a progression keypoint on a core as soon as possible.
@@ -619,20 +576,25 @@ class Scheduler:
         core = self.cores[core_id]
         if self.progression_hook is None or core.hook_live:
             return
+        self._spawn_hook(core, Keypoint.CTX_SWITCH, "inject")
+        # behave like an interrupt: do not wait for a slice boundary
+        self.interrupt_compute(core_id)
+
+    def _spawn_hook(self, core: CoreState, kind: Keypoint, label: str) -> None:
+        """Spawn a one-shot SYSTEM-priority thread running the progression
+        hook once on ``core``, counted and timed as a ``kind`` keypoint."""
         core.hook_live = True
-        core.keypoint_counts[Keypoint.CTX_SWITCH] += 1
+        core.keypoint_counts[kind] += 1
         hook = self.progression_hook
-        hist = self.keypoint_ns[Keypoint.CTX_SWITCH]
+        hist = self.keypoint_ns[kind]
 
         def body(ctx: ThreadCtx) -> Generator[Instr, Any, Any]:
             t0 = self.engine.now
             yield from hook(ctx.core_id)
             hist.record(self.engine.now - t0)
 
-        t = self.spawn(body, core_id, name=f"hook-inject@{core_id}", prio=Prio.SYSTEM)
+        t = self.spawn(body, core.id, name=f"hook-{label}@{core.id}", prio=Prio.SYSTEM)
         t.is_hook = True
-        # behave like an interrupt: do not wait for a slice boundary
-        self.interrupt_compute(core_id)
 
     # -- timer interrupts ------------------------------------------------
     def _arm_timer(self, core: CoreState) -> None:
@@ -671,13 +633,11 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _advance(self, cid: int, thread: SimThread) -> None:
         # The most frequently fired callback in the simulator: everything
-        # it touches is either on the thread or in a flat per-core list,
-        # and its args tuple is interned on the thread (thread.adv_args).
+        # it touches is either on the thread or in a flat per-core list.
         if self._cur[cid] is not thread or thread.state is not _RUNNING:
             return  # stale event (thread moved on)
         # An in-flight Compute slice schedules _advance directly as its
-        # completion callback (no trampoline), so the slice handle is
-        # dropped here — before anything below can recycle the carrier.
+        # completion callback (no trampoline): the slice is over.
         thread.compute_event = None
         if self._preempt[cid] and self._should_preempt(cid, thread):
             self._preempt_thread(cid, thread)
@@ -697,54 +657,28 @@ class Scheduler:
             if skew is not None and instr.__class__ is Compute:
                 # Slow-core fault: stretch *fresh* Compute work only — the
                 # pending_instr path above re-issues remainders that are
-                # already in skewed units (and pooled/shared instruction
+                # already in skewed units (and shared instruction
                 # instances are never mutated, so build a new one).
                 f = skew[cid]
                 if f is not None:
                     instr = Compute(instr.ns * f[0] // f[1])
         engine = self.engine
-        thread.instr_start = engine.now
-        # The single hottest branch — a Compute slice — is inlined here
-        # (including the engine's queue insert): _advance runs once per
-        # instruction, and the call fan-out dominates host time.
+        now = engine.now
+        thread.instr_start = now
+        # The single hottest instruction, a Compute slice, is handled here
+        # rather than in _exec: _advance runs once per instruction.
         if instr.__class__ is Compute:
             ns = instr.ns
             quantum = self._quantum_ns
             slice_ns = ns if ns <= quantum else quantum
-            if type(slice_ns) is int:
-                remaining = ns - slice_ns
-                if remaining > 0:
-                    thread.pending_instr = Compute(remaining)
-                thread.cpu_ns += slice_ns
-                self._busy[cid] += slice_ns
-                now = engine.now
-                seq = engine._seq
-                engine._seq = seq + 1
-                t = now + slice_ns
-                # Pooled carrier is safe here: the handle in compute_event
-                # is dropped at the top of _advance (the completion
-                # callback) before any other engine work can reuse it.
-                pool = engine._pool
-                if pool:
-                    ev = pool.pop()
-                    ev.time = t
-                    ev.seq = seq
-                    ev.fn = self._advance
-                    ev.args = thread.adv_args
-                    ev.alive = True
-                else:
-                    ev = Event(t, seq, self._advance, thread.adv_args)
-                    ev._pooled = True
-                ev._engine = engine
-                engine._live += 1
-                if t == now:
-                    engine._nowq.append((t, seq, None, ev))
-                elif t <= engine._aend:
-                    heappush(engine._abuc, (t, seq, None, ev))
-                else:
-                    engine._insert((t, seq, None, ev))
-                thread.compute_event = (ev, now, slice_ns)
-                return
+            remaining = ns - slice_ns
+            if remaining > 0:
+                thread.pending_instr = Compute(remaining)
+            thread.cpu_ns += slice_ns
+            self._busy[cid] += slice_ns
+            ev = engine.schedule(slice_ns, self._advance, cid, thread)
+            thread.compute_event = (ev, now, slice_ns)
+            return
         self._exec(cid, thread, instr)
 
     def _should_preempt(self, cid: int, thread: SimThread) -> bool:
@@ -767,11 +701,7 @@ class Scheduler:
         self._rr_seq += 1
         self._rqs[cid].append(thread)
         self._cur[cid] = None
-        engine = self.engine
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine._live += 1
-        engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
+        self.engine.post_soon(self._dispatch, cid)
 
     def _cancel_spin(self, cid: int, thread: SimThread) -> None:
         """Preempt a busy-spinning thread (timer/priority): deregister its
@@ -809,22 +739,7 @@ class Scheduler:
         """Finish the current instruction ``cost`` ns from now."""
         thread.cpu_ns += cost
         self._busy[cid] += cost
-        engine = self.engine
-        if type(cost) is not int or cost < 0:
-            # rare non-int costs: the engine's coercing/validating path
-            engine.post(cost, self._advance, cid, thread)
-            return
-        # engine.post inlined (second-hottest event source after Compute)
-        t = engine.now + cost
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine._live += 1
-        if t == engine.now:
-            engine._nowq.append((t, seq, self._advance, thread.adv_args))
-        elif t <= engine._aend:
-            heappush(engine._abuc, (t, seq, self._advance, thread.adv_args))
-        else:
-            engine._insert((t, seq, self._advance, thread.adv_args))
+        self.engine.post(cost, self._advance, cid, thread)
 
     def interrupt_compute(self, core_id: int) -> bool:
         """Interrupt the current thread's in-flight Compute slice (the
@@ -890,22 +805,11 @@ class Scheduler:
         # Exact-type dispatch: every instruction class derives from Instr
         # directly and is never subclassed, and ``__class__ is X`` beats an
         # isinstance() chain on the hottest interpreter path.  The branches
-        # are ordered hottest first; anything else (a subclassed
-        # instruction included) is a TypeError.
+        # are ordered hottest first (Compute never gets here: _advance
+        # slices it); anything else (a subclassed instruction included) is
+        # a TypeError.
         cls = instr.__class__
-        if cls is Compute:
-            ns = instr.ns
-            quantum = self._quantum_ns
-            slice_ns = ns if ns <= quantum else quantum
-            remaining = ns - slice_ns
-            if remaining > 0:
-                thread.pending_instr = Compute(remaining)
-            thread.cpu_ns += slice_ns
-            self._busy[cid] += slice_ns
-            engine = self.engine
-            ev = engine.schedule(slice_ns, self._advance, cid, thread)
-            thread.compute_event = (ev, engine.now, slice_ns)
-        elif cls is Acquire:
+        if cls is Acquire:
             start = self.engine.now
 
             def granted() -> None:
@@ -915,13 +819,7 @@ class Scheduler:
                     spun_ns = engine.now - start
                     thread.cpu_ns += spun_ns
                     self._busy[cid] += spun_ns
-                    # engine.post_soon inlined (one grant per acquisition):
-                    # a grant always lands at ``now``, so straight to the
-                    # same-instant FIFO
-                    seq = engine._seq
-                    engine._seq = seq + 1
-                    engine._live += 1
-                    engine._nowq.append((engine.now, seq, self._advance, thread.adv_args))
+                    engine.post_soon(self._advance, cid, thread)
                 else:  # pragma: no cover - defensive; cancel prevents this
                     raise RuntimeError(
                         f"lock {instr.lock.name!r} granted to descheduled "
@@ -954,56 +852,14 @@ class Scheduler:
             cost = instr.flag.set(cid)
             self._resume_after(cid, thread, cost)
         elif cls is Sleep:
-            ns = instr.ns
-            if type(ns) is int and ns >= 0:
-                # engine.schedule inlined with a pooled carrier: idle
-                # re-polls sleep once per pass, making this the third-
-                # hottest event source.  The handle stays cancellable
-                # (doorbells cancel it), so the engine ref is kept for
-                # live-count upkeep; every cancel site drops the handle
-                # immediately, which keeps recycling safe.  An idle
-                # thread's carrier is what the quiescence leap elides;
-                # the engine, not this handler, decides when to try.
-                engine = self.engine
-                seq = engine._seq
-                engine._seq = seq + 1
-                t = engine.now + ns
-                pool = engine._pool
-                if pool:
-                    ev = pool.pop()
-                    ev.time = t
-                    ev.seq = seq
-                    ev.fn = self._sleep_wake
-                    ev.args = thread.wake_args
-                    ev.alive = True
-                else:
-                    ev = Event(t, seq, self._sleep_wake, thread.wake_args)
-                    ev._pooled = True
-                ev._engine = engine
-                engine._live += 1
-                if ns == 0:
-                    engine._nowq.append((t, seq, None, ev))
-                elif t <= engine._aend:
-                    heappush(engine._abuc, (t, seq, None, ev))
-                else:
-                    engine._insert((t, seq, None, ev))
-                thread.sleep_event = ev
-                self._block(cid, thread, "sleep")
-            else:
-                thread.sleep_event = self.engine.schedule(ns, self._sleep_wake, thread)
-                self._block(cid, thread, f"sleep:{ns}")
+            # The handle stays cancellable (doorbells cancel it).  An idle
+            # thread's sleep is what the quiescence leap elides; the
+            # engine, not this handler, decides when to try.
+            thread.sleep_event = self.engine.schedule(instr.ns, self._sleep_wake, thread)
+            self._block(cid, thread, "sleep")
         elif cls is YieldCPU:
-            thread.state = TState.READY
-            thread.rq_seq = self._rr_seq
-            self._rr_seq += 1
-            self._rqs[cid].append(thread)
-            self._cur[cid] = None
-            self._preempt[cid] = False
-            engine = self.engine
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._live += 1
-            engine._nowq.append((engine.now, seq, self._dispatch, self._cid_args[cid]))
+            # a voluntary yield requeues exactly like a preemption
+            self._preempt_thread(cid, thread)
         elif cls is SpinOn:
             cost = instr.flag.read(cid)
             if instr.flag.is_set:

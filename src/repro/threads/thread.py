@@ -103,8 +103,6 @@ class SimThread:
         "compute_event",
         "multi_flags",
         "prio_boost",
-        "adv_args",
-        "wake_args",
     )
 
     def __init__(
@@ -157,12 +155,6 @@ class SimThread:
         #: higher-priority spinner would otherwise starve this thread while
         #: it owns a spinlock; cleared when the lock is released
         self.prio_boost: Optional[Prio] = None
-        #: interned callback-args tuples: the scheduler posts
-        #: ``_advance(core_id, thread)`` and ``_sleep_wake(thread)`` once
-        #: or more per instruction, and threads never migrate cores, so
-        #: the tuples are built once here instead of per event
-        self.adv_args = (core_id, self)
-        self.wake_args = (self,)
 
     @property
     def alive(self) -> bool:

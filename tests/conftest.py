@@ -51,14 +51,6 @@ def run_thread(machine, body, *, core=0, until=None, seed=42, engine=None):
     return thread.result, eng
 
 
-def pooled_carrier(eng, delay, fn, *args):
-    """A pooled cancellable carrier, queued the way the scheduler's
-    inlined Compute slices and idle sleeps queue theirs."""
-    ev = eng.schedule(delay, fn, *args)
-    ev._pooled = True
-    return ev
-
-
 def run_threads(machine, bodies, *, until=None, seed=42):
     """Spawn ``bodies`` as ``(body, core)`` pairs; returns (threads, engine)."""
     eng = Engine()

@@ -1,16 +1,11 @@
-"""The fire-and-forget fast path: post/post_at/post_soon, carrier pooling,
-non-finite delay rejection, and O(1) pending bookkeeping."""
+"""The fire-and-forget fast path: post/post_at/post_soon, non-finite
+delay rejection, and O(1) pending bookkeeping."""
 
 import math
 
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.rng import Rng
-from repro.threads.instructions import Sleep
-from repro.threads.scheduler import Scheduler
-from repro.topology.builder import smp
-from tests.conftest import pooled_carrier
 
 
 def test_post_orders_with_schedule():
@@ -73,35 +68,6 @@ def test_fractional_delay_rounds_up():
     assert times == [1, 2]
 
 
-def test_pool_recycles_carriers():
-    """Pooled cancellable carriers return to the free pool after firing,
-    and the scheduler's inlined sleeps check them out again instead of
-    allocating (fire-and-forget posts need no carrier at all)."""
-    eng = Engine()
-    for _ in range(5):
-        pooled_carrier(eng, 1, lambda: None)
-    eng.post(1, lambda: None)
-    eng.run()
-    assert len(eng._pool) == 5
-    ids = {id(ev) for ev in eng._pool}
-
-    def sleeper(ctx):
-        for _ in range(5):
-            yield Sleep(100)
-
-    Scheduler(smp(1, 1), eng, rng=Rng(1)).spawn(sleeper, 0)
-    eng.run()
-    assert {id(ev) for ev in eng._pool} == ids
-
-
-def test_pooled_carrier_drops_references_after_fire():
-    eng = Engine()
-    ev = pooled_carrier(eng, 1, lambda x: None, "payload")
-    eng.run()
-    assert eng._pool == [ev]
-    assert ev.fn is None and ev.args is None
-
-
 def test_pending_is_consistent_with_posts_and_cancels():
     eng = Engine()
     assert eng.pending() == 0
@@ -129,22 +95,6 @@ def test_cancel_after_fire_is_a_noop():
     assert eng.pending() == 1
     eng.run()
     assert eng.pending() == 0
-
-
-def test_cancelled_pooled_events_are_skipped_and_recycled():
-    """A cancelled compute-slice style carrier never fires and returns to
-    the pool once it surfaces."""
-    eng = Engine()
-    seen = []
-    eng.post(1, seen.append, "first")
-    eng.run()
-    ev = pooled_carrier(eng, 5, seen.append, "cancelled")
-    eng.post(9, seen.append, "last")
-    ev.cancel()
-    eng.run()
-    assert seen == ["first", "last"]
-    assert eng.fired == 2
-    assert eng._pool == [ev]
 
 
 def test_fired_counter_flushed_on_normal_return():

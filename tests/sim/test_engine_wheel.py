@@ -8,16 +8,14 @@ far beyond the wheel horizon, cancellation mid-bucket — and asserts
 identical fire order, ``now``, ``fired`` and ``pending()`` at every
 step.  The unit tests pin down the wheel machinery: window slides,
 overflow migration, the same-instant FIFO, bounded runs cutting a bucket
-in half, mid-drain re-queues into the live bucket, and the pooled cancellable carriers (free-pool cap, recycling
-on cancel and on ``peek_time``).
+in half, and mid-drain re-queues into the live bucket.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import POOL_CAP, WHEEL_SHIFT, WHEEL_SLOTS, Engine
-from tests.conftest import pooled_carrier
+from repro.sim.engine import WHEEL_SHIFT, WHEEL_SLOTS, Engine
 
 from .refengine import HeapqEngine
 
@@ -281,29 +279,6 @@ def test_max_events_stops_mid_instant():
     assert seen == [1, 2]
     eng.run()
     assert seen == [1, 2, 3]
-
-
-def test_pool_cap_bounds_free_list():
-    eng = Engine()
-    for i in range(POOL_CAP + 500):
-        ev = pooled_carrier(eng, 1 + i % 3, lambda: None)
-        if i % 2:
-            ev.cancel()  # fired and cancelled carriers both come back
-    eng.run()
-    assert len(eng._pool) == POOL_CAP
-
-
-def test_wheel_recycles_cancelled_pooled_carriers_on_peek():
-    """peek_time must return dead pooled carriers to the pool, not drop
-    them — but never a caller-owned (unpooled) handle."""
-    eng = Engine()
-    ev = eng.schedule(5, lambda: None)
-    ev2 = pooled_carrier(eng, 3, lambda: None)
-    ev2.cancel()
-    ev.cancel()
-    assert eng.peek_time() is None
-    assert eng._pool == [ev2]
-    assert ev2.fn is None and ev2.args is None
 
 
 def test_exception_keeps_remainder_queued_wheel():

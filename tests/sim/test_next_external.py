@@ -7,7 +7,7 @@ violates the conservative-lookahead guarantee (too early), so the edge
 cases get pinned here, on the engine and on the test-only plain-heap
 reference (:class:`~tests.sim.refengine.HeapqEngine`) that defines the
 answer: the empty-engine sentinel, overflow-heap-only wheel state, dead
-pooled carriers sitting at the head, carrier exclusion, and randomized
+carriers sitting at the head, carrier exclusion, and randomized
 wheel-vs-reference agreement fuzzes, between runs and mid-drain (at the
 run loop's leap consult and from inside callbacks).
 """
@@ -72,8 +72,8 @@ def test_overflow_only_after_cancel_in_window():
 
 @both
 def test_dead_carriers_at_head_are_skipped(make):
-    """Cancelled (pooled-dead) carriers at the queue head must not be
-    reported — and the query must not pop or recycle them either."""
+    """Cancelled carriers at the queue head must not be reported — and
+    the query must not pop them either."""
     eng = make()
     dead = [eng.schedule(t, _noop) for t in (5, 6, 7)]
     eng.post(5_000, _noop)

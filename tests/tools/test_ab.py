@@ -91,12 +91,14 @@ def _smoke_doc():
     ]}
 
 
-def _gate(tmp_path, record, run):
+def _gate(tmp_path, record, run, base=None):
+    """Gate ``run``; ``base=None`` passes the record as the base, as CI
+    does when a change touches the benchmark itself."""
     paths = []
-    for tag, doc in (("record", record), ("run", run)):
+    for tag, doc in (("record", record), ("run", run), ("base", base or record)):
         paths.append(tmp_path / f"{tag}.json")
         paths[-1].write_text(json.dumps(doc))
-    return ab.main(["--gate", str(paths[0]), str(paths[1])])
+    return ab.main(["--gate", *map(str, paths)])
 
 
 def test_gate_passes_within_twice_the_record(tmp_path, capsys):
@@ -117,14 +119,41 @@ def test_gate_fails_on_a_simulated_metric_off_by_one(tmp_path, capsys):
     assert line.startswith("GATE FAILED: cluster_rpc: core.schedule_passes ")
 
 
+def _three_times_better(doc, metric):
+    better = next(m["better"] for m in CONTRACT["end_to_end"] if m["name"] == metric)
+    doc["workloads"][0]["summary"][metric]["median"] *= 3 if better == "higher" else 1 / 3
+    return doc
+
+
 @pytest.mark.parametrize("metric", ["wall_s", "sim_ns_per_wall_s"])
 def test_gate_fails_on_a_median_three_times_better_in_the_record(tmp_path, capsys,
                                                                  metric):
-    record = _smoke_doc()
-    better = next(m["better"] for m in CONTRACT["end_to_end"] if m["name"] == metric)
-    record["workloads"][0]["summary"][metric]["median"] *= 3 if better == "higher" else 1 / 3
+    """The record standing in as the base (a benchmark change)."""
+    record = _three_times_better(_smoke_doc(), metric)
     assert _gate(tmp_path, record, _smoke_doc()) == 1
     assert f"idle_poll: {metric} median" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("metric", ["wall_s", "sim_ns_per_wall_s"])
+def test_gate_fails_on_a_base_three_times_faster(tmp_path, capsys, metric):
+    base = _three_times_better(_smoke_doc(), metric)
+    assert _gate(tmp_path, _smoke_doc(), _smoke_doc(), base) == 1
+    out = capsys.readouterr().out
+    assert f"idle_poll: {metric} median" in out and "vs base" in out
+
+
+def test_gate_ignores_the_records_wall_times(tmp_path, capsys):
+    """Against a separate base, the record's wall times (another host's)
+    are never compared, while its simulated metrics still are."""
+    record = _smoke_doc()
+    for metric in ("wall_s", "sim_ns_per_wall_s", "setup_s", "cpu_s"):
+        _three_times_better(record, metric)
+    assert _gate(tmp_path, record, _smoke_doc(), _smoke_doc()) == 0
+    assert "gate ok: 2 workloads" in capsys.readouterr().out
+    record["workloads"][1]["layers"]["sim.events_executed"] -= 1
+    assert _gate(tmp_path, record, _smoke_doc(), _smoke_doc()) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("GATE FAILED: cluster_rpc: sim.events_executed ")
 
 
 def test_gate_fails_on_a_missing_workload_or_another_size(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Paired A/B of the repo benchmark against a git ref, and CI's wall gate.
 
 Run:  python3 tools/ab.py REF [--workload W]... [--pairs N] [--smoke] [--seed N]
-      python3 tools/ab.py --gate RECORD RUN
+      python3 tools/ab.py --gate RECORD RUN BASE
 
 A/B mode checks REF out into a throwaway ``git worktree`` (local, no
 network), removed on exit, and alternates ``benchmark/run.py --workload W
@@ -30,13 +30,17 @@ direction (ties count for neither side) and one verdict:
 The exit code does not depend on the verdicts.  The last line of
 standard output is one JSON object.
 
-Gate mode compares RUN, written by ``benchmark/run.py --smoke --trace
---json-out RUN``, with RECORD, a committed document written by the same
-command (``BENCH_smoke.json``).  It fails (exit 1) unless every
-end-to-end median of RUN is within a factor of 2 of RECORD's in the
-metric's worse direction, and every per-layer metric that is a function
-of the simulated run (all but host self times, time shares and the
-traced run's host timings) equals RECORD's exactly.
+Gate mode checks RUN, written by ``benchmark/run.py --smoke --trace
+--json-out RUN``, against two documents written by the same command.
+RECORD is the committed one (``BENCH_smoke.json``): every per-layer
+metric of RUN that is a function of the simulated run (all but host
+self times, time shares and the traced run's host timings) must equal
+RECORD's exactly.  BASE is the parent commit's run on the same host:
+every end-to-end median of RUN must be within a factor of 2 of BASE's in
+the metric's worse direction.  Wall times recorded on another host say
+nothing about this one, so RECORD's are never compared; a change to the
+benchmark itself, which cannot be timed against its parent, passes
+RECORD as BASE.  Any failed check exits 1.
 """
 
 from __future__ import annotations
@@ -201,27 +205,30 @@ def ab(args, contract: dict) -> int:
     return 0
 
 
-def gate(record_path: str, run_path: str, contract: dict) -> int:
-    record, run = load_json(record_path), load_json(run_path)
-    rec = {w["workload"]: w for w in record["workloads"]}
-    new = {w["workload"]: w for w in run["workloads"]}
+def gate(record_path: str, run_path: str, base_path: str, contract: dict) -> int:
+    rec, new, base = ({w["workload"]: w for w in load_json(path)["workloads"]}
+                      for path in (record_path, run_path, base_path))
     failures = [f"{w}: missing from {run_path}" for w in rec if w not in new]
-    failures += [f"{w}: missing from {record_path}" for w in new if w not in rec]
+    for path, other in ((record_path, rec), (base_path, base)):
+        failures += [f"{w}: missing from {path}" for w in new if w not in other]
     exact = [m["name"] for m in contract["per_layer"] if simulated(m["name"])]
     checked = 0
-    for workload in [w for w in rec if w in new]:
-        a, b = rec[workload], new[workload]
-        if a["size"] != b["size"] or "layers" not in a or "layers" not in b:
-            failures.append(f"{workload}: not two traced runs of one size "
-                            f"({a['size']} vs {b['size']})")
+    for workload in [w for w in new if w in rec and w in base]:
+        a, b, c = rec[workload], new[workload], base[workload]
+        mismatched = [f"{workload}: not two traced runs of one size ({b['size']} "
+                      f"vs {d['size']} in {path})"
+                      for path, d in ((record_path, a), (base_path, c))
+                      if d["size"] != b["size"] or "layers" not in d or "layers" not in b]
+        if mismatched:
+            failures += mismatched
             continue
         for metric in contract["end_to_end"]:
             name = metric["name"]
-            ra, rb = a["summary"][name]["median"], b["summary"][name]["median"]
-            worse = rb / ra if metric["better"] == "lower" else ra / rb
+            rc, rb = c["summary"][name]["median"], b["summary"][name]["median"]
+            worse = rb / rc if metric["better"] == "lower" else rc / rb
             if worse > GATE_FACTOR:
-                failures.append(f"{workload}: {name} median {rb:.4g} vs recorded "
-                                f"{ra:.4g} is {worse:.2f}x worse (limit {GATE_FACTOR}x)")
+                failures.append(f"{workload}: {name} median {rb:.4g} vs base "
+                                f"{rc:.4g} is {worse:.2f}x worse (limit {GATE_FACTOR}x)")
         for name in exact:
             if a["layers"][name] != b["layers"][name]:
                 failures.append(f"{workload}: {name} {b['layers'][name]!r} != recorded "
@@ -232,8 +239,8 @@ def gate(record_path: str, run_path: str, contract: dict) -> int:
     if failures:
         return 1
     print(f"gate ok: {checked} workloads, end-to-end medians within "
-          f"{GATE_FACTOR}x of {record_path}, {len(exact)} simulated per-layer "
-          "metrics equal")
+          f"{GATE_FACTOR}x of {base_path}, {len(exact)} simulated per-layer "
+          f"metrics equal to {record_path}")
     return 0
 
 
@@ -241,11 +248,12 @@ def main(argv=None) -> int:
     contract = load_json(os.path.join(ROOT, "BENCHMARK.json"))
     ap = argparse.ArgumentParser(
         description="Paired A/B of benchmark/run.py between a git ref and the "
-        "working tree, or (--gate) CI's wall gate against a committed record.")
+        "working tree, or (--gate) CI's wall gate against the parent's run.")
     ap.add_argument("ref", nargs="?", metavar="REF",
                     help="git ref to compare the working tree against")
-    ap.add_argument("--gate", nargs=2, metavar=("RECORD", "RUN"),
-                    help="check a smoke --trace run against a committed record")
+    ap.add_argument("--gate", nargs=3, metavar=("RECORD", "RUN", "BASE"),
+                    help="check a smoke --trace run's simulated metrics against a "
+                    "committed record and its wall times against a base run")
     ap.add_argument("--workload", action="append",
                     choices=[w["name"] for w in contract["workloads"]],
                     help="workload to compare (repeatable; default: all)")
@@ -256,7 +264,7 @@ def main(argv=None) -> int:
                     help="root seed passed to benchmark/run.py (default: its own)")
     args = ap.parse_args(argv)
     if (args.ref is None) == (args.gate is None):
-        ap.error("give either REF or --gate RECORD RUN")
+        ap.error("give either REF or --gate RECORD RUN BASE")
     if args.gate:
         return gate(*args.gate, contract)
     if args.pairs < 1:
