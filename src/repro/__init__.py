@@ -32,37 +32,63 @@ Quickstart::
 
     sched.spawn(main, core=0)
     engine.run()
+
+Every name below is loaded on first access, so a process imports only
+the layers it uses: ``from repro import PIOMan`` loads the machine
+substrate and PIOMan, not NewMadeleine, MPI or the cluster harness.
 """
 
-from repro.sim import Engine, Rng, Tracer, NS, US, MS, fmt_ns
-from repro.topology import (
-    CpuSet,
-    Level,
-    Machine,
-    MachineSpec,
-    borderline,
-    kwak,
-    numa_machine,
-    smp,
-)
-from repro.sync import AtomicCounter, Condition, LockStats, Mutex, SpinLock
-from repro.threads import Flag, Prio, Scheduler, SimThread, ThreadCtx
-from repro.core import (
-    LTask,
-    PIOMan,
-    QueueHierarchy,
-    TaskOption,
-    TaskQueue,
-    TaskState,
-    piom_wait,
-)
-from repro.cluster import Cluster, Node
-from repro.nmad import NMad
-from repro.obs import MetricsRegistry, chrome_trace, write_chrome_trace
-from repro.pioio import BlockDevice, PIOIo
-from repro.mpi import MadMPI, MVAPICHLike, OpenMPILike
+
+def _lazy(package: str, exports: dict):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``, whose public
+    names live in modules it does not import up front.
+
+    ``exports`` maps each defining module to the names it exports.  A
+    name is imported from its module on first access and then cached as
+    a plain attribute; a name whose module is ``f"{package}.{name}"`` is
+    that submodule itself.
+    """
+    import sys
+    from importlib import import_module
+
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = import_module(module)
+        if module != f"{package}.{name}":
+            value = getattr(value, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list:
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    return __getattr__, __dir__
+
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = _lazy(__name__, {
+    "repro.sim": ("Engine", "Rng", "Tracer", "NS", "US", "MS", "fmt_ns"),
+    "repro.topology": (
+        "CpuSet", "Level", "Machine", "MachineSpec",
+        "borderline", "kwak", "numa_machine", "smp",
+    ),
+    "repro.sync": ("AtomicCounter", "Condition", "LockStats", "Mutex", "SpinLock"),
+    "repro.threads": ("Flag", "Prio", "Scheduler", "SimThread", "ThreadCtx"),
+    "repro.core": (
+        "LTask", "PIOMan", "QueueHierarchy", "TaskOption", "TaskQueue",
+        "TaskState", "piom_wait",
+    ),
+    "repro.cluster": ("Cluster", "Node"),
+    "repro.nmad": ("NMad",),
+    "repro.obs": ("MetricsRegistry", "chrome_trace", "write_chrome_trace"),
+    "repro.pioio": ("BlockDevice", "PIOIo"),
+    "repro.mpi": ("MadMPI", "MVAPICHLike", "OpenMPILike"),
+})
 
 __all__ = [
     "Engine", "Rng", "Tracer", "NS", "US", "MS", "fmt_ns",

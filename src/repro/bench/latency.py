@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Type
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
 from repro.net.driver import DriverSpec, IB_CONNECTX
 from repro.topology.builder import borderline
@@ -98,14 +96,37 @@ def run_latency_once(
         raise RuntimeError(
             f"latency bench stalled: impl={impl_cls.__name__} threads={nthreads}"
         )
-    arr = np.asarray(samples, dtype=np.float64)
+    return summarize(nthreads, samples)
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of ascending ``ordered`` samples, computed
+    as numpy's default (``linear``) method does, to the bit: position
+    ``(n - 1) * (q / 100)``, then interpolation from whichever neighbour
+    is nearer (``b - (b - a) * (1 - g)`` once ``g >= 0.5``)."""
+    pos = (len(ordered) - 1) * (q / 100)
+    lo = int(pos)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    g = pos - lo
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g
+
+
+def summarize(threads: int, samples: Sequence[float]) -> LatencyPoint:
+    """One Fig. 4 point from one-way latency samples: mean, min, max,
+    p50 and p99.  Samples are half-integer ns, so the sum is exact in
+    any order."""
+    ordered = sorted(samples)
     return LatencyPoint(
-        threads=nthreads,
-        mean_one_way_ns=float(arr.mean()),
-        min_ns=float(arr.min()),
-        max_ns=float(arr.max()),
-        p50_ns=float(np.percentile(arr, 50)),
-        p99_ns=float(np.percentile(arr, 99)),
+        threads=threads,
+        mean_one_way_ns=sum(samples) / len(samples),
+        min_ns=ordered[0],
+        max_ns=ordered[-1],
+        p50_ns=percentile(ordered, 50),
+        p99_ns=percentile(ordered, 99),
     )
 
 

@@ -8,11 +8,17 @@
 * :mod:`repro.cluster.workload` — the seeded cluster-scale workload
   generator (open/closed-loop arrivals, bursty/diurnal modulation,
   incast fan-in, collective phases).
+
+The names load on first access.
 """
 
-from repro.cluster.cluster import Cluster, Node, ShardSpec
-from repro.cluster.shard import ShardRunResult, run_sharded
-from repro.cluster.workload import WorkloadSpec, build_workload_cluster
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy(__name__, {
+    "repro.cluster.cluster": ("Cluster", "Node", "ShardSpec"),
+    "repro.cluster.shard": ("ShardRunResult", "run_sharded"),
+    "repro.cluster.workload": ("WorkloadSpec", "build_workload_cluster"),
+})
 
 __all__ = [
     "Cluster",

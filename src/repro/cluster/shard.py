@@ -52,10 +52,11 @@ deadlock check and the coordinator re-asserts it globally: if the whole
 cluster drains with blocked actors somewhere, that is a real
 :class:`~repro.sim.engine.DeadlockError`.
 
-A shard that fails inside the window loop — an exception on the hosted
-shard or in a forked one, a death or a timeout — surfaces as
-:class:`~repro.par.ShardPoolError` naming the shard, the window index,
-the horizon, and a one-line serial reproducer.
+A shard that fails to build, or fails inside the window loop — an
+exception on the hosted shard or in a forked one, a death or a timeout —
+surfaces as :class:`~repro.par.ShardPoolError` naming the shard (and, in
+the window loop, the window index and the horizon) with a one-line
+serial reproducer.
 """
 
 from __future__ import annotations
@@ -67,9 +68,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.cluster.cluster import ShardSpec
-from repro.par import JobSpec, ShardPool, ShardPoolError
-from repro.par.jobs import resolve_target
+from repro.par.jobs import JobSpec, resolve_target
 from repro.sim.engine import DeadlockError
 
 #: tag for workload builders: positional signature is fn(shard=..., **kwargs)
@@ -185,6 +184,8 @@ def _stable_data(data: Optional[dict]) -> str:
 
 def _make_runner(*, builder: str, kwargs: dict, index: int, count: int):
     """ShardPool spec target: build shard ``index``'s cluster + runner."""
+    from repro.cluster.cluster import ShardSpec
+
     fn = resolve_target(builder)
     cluster = fn(shard=ShardSpec(index, count), **kwargs)
     return ShardRunner(cluster)
@@ -315,6 +316,9 @@ def run_sharded(
     *shrink* the window (a larger-than-physical lookahead would break
     causality), so the override is capped at the fabric minimum.
     """
+    from repro.obs.merge import union_snapshots
+    from repro.par.shardpool import ShardPool, ShardPoolError
+
     if nshards < 1:
         raise ValueError("need at least one shard")
     specs = [
@@ -330,8 +334,23 @@ def run_sharded(
         )
         for k in range(nshards)
     ]
+
+    def reproduce(**bound) -> str:
+        """The one-line serial rerun of this call, with ``bound`` added."""
+        extra = "".join(f", {k}={v!r}" for k, v in bound.items())
+        return (
+            f"reproduce: run_sharded({builder!r}, {dict(kwargs or {})!r}, "
+            f"nshards={nshards}, serial=True{extra})"
+        )
+
     t0 = _time.perf_counter()
-    with ShardPool(specs, serial=serial, timeout_s=timeout_s) as pool:
+    try:
+        pool = ShardPool(specs, serial=serial, timeout_s=timeout_s)
+    except ShardPoolError as exc:
+        raise ShardPoolError(
+            f"{exc}\n{reproduce()}", shard=exc.shard
+        ) from (exc.__cause__ or exc)
+    with pool:
         bounds = [b for b in pool.broadcast("lookahead_ns") if b is not None]
         if not bounds:
             raise ValueError("no NICs registered in any shard — nothing to sync")
@@ -367,9 +386,7 @@ def run_sharded(
             except ShardPoolError as exc:
                 raise ShardPoolError(
                     f"{exc.shard or 'a shard'} failed in window {windows} "
-                    f"(horizon {hi} ns)\nreproduce: run_sharded({builder!r}, "
-                    f"{dict(kwargs or {})!r}, nshards={nshards}, serial=True, "
-                    f"until={hi})\n{exc}",
+                    f"(horizon {hi} ns)\n{reproduce(until=hi)}\n{exc}",
                     shard=exc.shard,
                 ) from (exc.__cause__ or exc)
             windows += 1
@@ -396,8 +413,6 @@ def run_sharded(
             f"cluster drained at t={max(f['now'] for f in finals)} ns with "
             f"{blocked} actor(s) still blocked (across {nshards} shard(s))"
         )
-    from repro.obs.merge import union_snapshots
-
     trace_fp, trace_n = _merge_trace(finals)
     return ShardRunResult(
         nshards=nshards,

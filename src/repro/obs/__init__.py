@@ -29,30 +29,29 @@ Complementary views of one simulation run:
 All are wired through the bench CLI (``--metrics-out`` / ``--trace-out`` /
 ``analyze``) so every benchmark run can emit and inspect its internals
 next to its paper-shaped table.
+
+The simulator's layers import :mod:`repro.obs.histogram` and
+:mod:`repro.obs.registry` directly; the names below load on first
+access, so a simulation never loads the offline analyzers.
 """
 
-from repro.obs.analyze import (
-    TraceAnalysis,
-    analyze_trace,
-    analyze_trace_file,
-    format_analysis,
-)
-from repro.obs.chrometrace import chrome_trace, write_chrome_trace
-from repro.obs.critpath import (
-    CriticalPath,
-    extract_critical_path,
-    extract_critical_path_file,
-    format_critical_path,
-)
-from repro.obs.diff import DiffReport, diff_docs, diff_files, format_diff
-from repro.obs.gantt import (
-    render_gantt_svg,
-    render_gantt_term,
-    write_gantt_svg,
-)
-from repro.obs.histogram import Histogram
-from repro.obs.merge import union_snapshots
-from repro.obs.registry import MetricsRegistry
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy(__name__, {
+    "repro.obs.analyze": (
+        "TraceAnalysis", "analyze_trace", "analyze_trace_file", "format_analysis",
+    ),
+    "repro.obs.chrometrace": ("chrome_trace", "write_chrome_trace"),
+    "repro.obs.critpath": (
+        "CriticalPath", "extract_critical_path", "extract_critical_path_file",
+        "format_critical_path",
+    ),
+    "repro.obs.diff": ("DiffReport", "diff_docs", "diff_files", "format_diff"),
+    "repro.obs.gantt": ("render_gantt_svg", "render_gantt_term", "write_gantt_svg"),
+    "repro.obs.histogram": ("Histogram",),
+    "repro.obs.merge": ("union_snapshots",),
+    "repro.obs.registry": ("MetricsRegistry",),
+})
 
 __all__ = [
     "CriticalPath",

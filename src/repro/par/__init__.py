@@ -27,11 +27,20 @@ serial loop would have produced.
   the rest live in forked workers behind pipes, so the caller computes
   a share of every call — the substrate for :mod:`repro.cluster.shard`'s
   window-synchronized parallel simulation.
+
+The names load on first access: the simulator imports
+:func:`derive_seed` without loading :mod:`multiprocessing`.
 """
 
-from repro.par.jobs import JobFailure, JobResult, JobSpec, derive_seed, resolve_target
-from repro.par.pool import has_fork, resolve_jobs, run_jobs, run_jobs_strict
-from repro.par.shardpool import ShardPool, ShardPoolError
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy(__name__, {
+    "repro.par.jobs": (
+        "JobFailure", "JobResult", "JobSpec", "derive_seed", "resolve_target",
+    ),
+    "repro.par.pool": ("has_fork", "resolve_jobs", "run_jobs", "run_jobs_strict"),
+    "repro.par.shardpool": ("ShardPool", "ShardPoolError"),
+})
 
 __all__ = [
     "JobFailure",

@@ -319,9 +319,12 @@ class Engine:
             self._insert((time, seq, fn, args))
 
     def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
+        """Fire-and-forget :meth:`schedule_at`, with its checks and its
+        rounding: a fractional time fires at the next whole ns."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        if type(time) is not int:
+            time = self.now + _coerce_delay(time - self.now)
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
@@ -496,10 +499,14 @@ class Engine:
 
         Draining with blocked actors raises :class:`DeadlockError` — a
         simulation that silently stops with threads still waiting is
-        almost always a bug in the caller's protocol.
+        almost always a bug in the caller's protocol.  An ``until``
+        before ``now`` raises :class:`ValueError`: the clock never moves
+        backwards.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
         self._running = True
         SHIFT = WHEEL_SHIFT
         MASK = WHEEL_MASK

@@ -2,7 +2,8 @@
 
 All stochastic behaviour in the simulator (jitter on wire latencies,
 tie-breaking among equidistant lock waiters, workload generators) draws
-from a single :class:`Rng` so that a run is reproducible from one seed.
+from seeded :class:`Rng` streams, one per entity, each derived from the
+run's seed, so that a run is reproducible from one seed.
 """
 
 from __future__ import annotations

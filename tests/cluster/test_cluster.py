@@ -68,3 +68,16 @@ def test_run_until_bound():
 
     cl.nodes[0].scheduler.spawn(spin, 0)
     assert cl.run(until=1_000_000) == 1_000_000
+
+
+def test_run_until_before_now_is_refused():
+    cl = Cluster(2)
+
+    def spin(ctx):
+        yield Compute(10_000_000)
+
+    cl.nodes[0].scheduler.spawn(spin, 0)
+    cl.run(until=1_000_000)
+    with pytest.raises(ValueError, match="the clock is at 1000000 ns"):
+        cl.run(until=500_000)
+    assert cl.engine.now == 1_000_000

@@ -16,8 +16,8 @@ import os
 
 import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.shard import ShardSpec, run_sharded
+from repro.cluster.cluster import Cluster, ShardSpec
+from repro.cluster.shard import run_sharded
 from repro.cluster.workload import (
     WorkloadSpec,
     build_workload_cluster,
@@ -96,6 +96,13 @@ def build_failing_ring(shard=None, *, fail_node, fail_at_ns, **kwargs):
 
         node.scheduler.spawn(saboteur, 0, name="saboteur")
     return cluster
+
+
+def build_failing_on_one(shard=None, **kwargs):
+    """The plain ring, except that building shard 1 raises."""
+    if shard is not None and shard.index == 1:
+        raise RuntimeError("planted build failure")
+    return build_plain_ring(shard, **kwargs)
 
 
 def build_disagreeing(shard=None, **kwargs):
@@ -371,6 +378,47 @@ class TestProtocol:
         # the printed one-liner replays the same failure in the same window
         with pytest.raises(ShardPoolError, match=f"failed in window {window} "):
             eval(repro_line[len("reproduce: "):], {"run_sharded": run_sharded})
+
+
+def reproducer(message: str) -> str:
+    """The message's last line, which must be a serial reproducer."""
+    last = message.splitlines()[-1]
+    assert last.startswith("reproduce: run_sharded(")
+    assert last.endswith(", nshards=2, serial=True)")
+    return last[len("reproduce: "):]
+
+
+class TestSetUpFailure:
+    def test_hosted_shard_names_itself_and_prints_a_reproducer(self):
+        kwargs = {"spec": WorkloadSpec(nnodes=4, seed=1), "machine": "nope"}
+        with pytest.raises(ShardPoolError) as info:
+            run_sharded(BUILDER, kwargs, nshards=2)
+        err = info.value
+        assert err.shard == "shard0"
+        assert str(err).startswith("shard 'shard0' failed to build: ValueError: ")
+        assert "unknown machine 'nope'" in str(err)
+        assert isinstance(err.__cause__, ValueError)  # raised in this process
+        call = reproducer(str(err))
+        assert call.startswith(f"run_sharded({BUILDER!r}, {kwargs!r}")
+        namespace = {"run_sharded": run_sharded, "WorkloadSpec": WorkloadSpec}
+        with pytest.raises(ShardPoolError, match="'shard0' failed to build"):
+            eval(call, namespace)
+
+    @needs_fork
+    def test_forked_shard_names_itself_and_prints_a_reproducer(self):
+        builder = "tests.cluster.test_shard:build_failing_on_one"
+        kwargs = {"nnodes": 4, "msgs": 2, "seed": 3, "faults": None}
+        with pytest.raises(ShardPoolError) as info:
+            run_sharded(builder, kwargs, nshards=2)
+        err = info.value
+        assert err.shard == "shard1"
+        assert str(err).startswith(
+            "shard 'shard1' failed to build: RuntimeError: planted build failure\n"
+        )
+        # the serial reproducer builds shard 1 in this process: same failure
+        with pytest.raises(ShardPoolError, match="'shard1' failed to build") as again:
+            eval(reproducer(str(err)), {"run_sharded": run_sharded})
+        assert isinstance(again.value.__cause__, RuntimeError)
 
 
 def run_one_until(spec, *, until):

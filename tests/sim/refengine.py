@@ -46,6 +46,8 @@ class HeapqEngine:
         return True
 
     def run(self, until=None, max_events=None):
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
         n = 0
         while (max_events is None or n < max_events) and self.peek_time() is not None:
             if until is not None and self.peek_time() > until:

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.sim.engine import DeadlockError, Engine, SimulationError
 
+from .refengine import HeapqEngine
+
 
 def test_clock_starts_at_zero():
     assert Engine().now == 0
@@ -93,6 +95,24 @@ def test_run_until_stops_clock_at_bound():
     # remaining event still fires on resume
     eng.run()
     assert eng.fired == 2 and eng.now == 500
+
+
+@pytest.mark.parametrize("make", [Engine, HeapqEngine], ids=["wheel", "reference"])
+def test_run_until_before_now_is_refused(make):
+    """The clock never runs backwards: a bound behind ``now`` raises and
+    leaves the clock alone, so a later post cannot land before an event
+    that already fired."""
+    eng = make()
+    seen = []
+    eng.post(100, seen.append, "a")
+    eng.post(10_000, seen.append, "b")
+    assert eng.run(until=200) == 200
+    with pytest.raises(ValueError, match="until 50 ns: the clock is at 200 ns"):
+        eng.run(until=50)
+    assert eng.now == 200
+    eng.post(10, seen.append, "c")
+    assert eng.run() == 10_000
+    assert seen == ["a", "c", "b"]
 
 
 def test_run_max_events():

@@ -59,6 +59,24 @@ def test_non_finite_delay_raises(bad):
         eng.post(bad, lambda: None)
 
 
+def test_post_at_rounds_and_checks_like_schedule_at():
+    """A fractional absolute time fires at the next whole ns and a
+    non-finite one is refused before anything is queued."""
+    eng = Engine()
+    seen = []
+    eng.post_at(5000.5, lambda: seen.append(("post_at", eng.now)))
+    eng.schedule_at(5000.5, lambda: seen.append(("schedule_at", eng.now)))
+    eng.run()
+    assert seen == [("post_at", 5001), ("schedule_at", 5001)]
+    for bad in (math.nan, math.inf):
+        for call in (eng.post_at, eng.schedule_at):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(bad, lambda: None)
+    with pytest.raises(ValueError, match="in the past"):
+        eng.post_at(5000.5, lambda: None)
+    assert eng.pending() == 0
+
+
 def test_fractional_delay_rounds_up():
     eng = Engine()
     times = []
