@@ -381,7 +381,6 @@ def run_ablation_suite(
     bursts: int = 60,
     reps: int = 200,
     jobs: int = 1,
-    timeout_s: float | None = None,
 ) -> AblationSuite:
     """Run all twelve ablation legs, optionally fanned out over workers.
 
@@ -402,7 +401,7 @@ def run_ablation_suite(
                 name=fname, target=f"repro.bench.ablations:{fn}", kwargs=kwargs
             )
         )
-    values = run_jobs_strict(specs, jobs=jobs, timeout_s=timeout_s)
+    values = run_jobs_strict(specs, jobs=jobs)
     suite = AblationSuite()
     for (fname, _, _), value in zip(_SUITE_LEGS, values):
         setattr(suite, fname, value)

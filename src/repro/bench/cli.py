@@ -43,7 +43,7 @@ from repro.bench.targets import (
     TargetOutput,
     to_jsonable,
 )
-from repro.par import JobFailure, JobSpec, run_jobs_strict
+from repro.par import JobFailure, JobSpec, resolve_jobs, run_jobs_strict
 
 
 def out_path(text: str) -> str:
@@ -58,18 +58,21 @@ def out_path(text: str) -> str:
     return text
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
-def _jobs_arg(text: str) -> int:
-    """``--jobs`` values: a positive count, or 0/'auto' = every CPU."""
-    from repro.par import resolve_jobs
-
+def positive_int(text: str) -> int:
+    """argparse ``type=`` of every count flag: a count below 1 fails at
+    parse time (exit 2, naming the flag), before any simulation runs."""
     try:
-        return resolve_jobs(int(text))
+        n = int(text)
     except ValueError:
-        return resolve_jobs(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive count")
+    return n
+
+
+def positive_ints(text: str) -> list[int]:
+    """A comma-separated list of :func:`positive_int` counts."""
+    return [positive_int(x) for x in text.split(",") if x]
 
 
 def _analyze_main(argv: Sequence[str]) -> int:
@@ -232,7 +235,6 @@ def _build_specs(
                     "observe": observe and i == inst_index,
                     "jobs": inner_jobs,
                 },
-                timeout_s=args.job_timeout,
             )
         )
     if observe and inst_index is None:
@@ -241,7 +243,6 @@ def _build_specs(
                 name="_observed",
                 target="repro.bench.targets:run_dedicated_observed",
                 kwargs={"reps": args.reps, "seed": args.seed},
-                timeout_s=args.job_timeout,
             )
         )
     return specs
@@ -273,16 +274,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=ALL_TARGETS + ("all",),
         help="which artifacts to regenerate",
     )
-    ap.add_argument("--reps", type=int, default=200, help="microbench repetitions")
+    ap.add_argument("--reps", type=positive_int, default=200, help="microbench repetitions")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument(
-        "--threads", type=_ints, default=[1, 2, 4, 8, 16, 32, 64, 128],
+        "--threads", type=positive_ints, default=[1, 2, 4, 8, 16, 32, 64, 128],
         help="fig4 thread counts (comma separated)",
     )
-    ap.add_argument("--points", type=int, default=9, help="overlap points per curve")
-    ap.add_argument("--iters", type=int, default=4, help="fig4 iterations per thread")
+    ap.add_argument("--points", type=positive_int, default=9, help="overlap points per curve")
+    ap.add_argument("--iters", type=positive_int, default=4, help="fig4 iterations per thread")
     ap.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N",
+        "--jobs", type=resolve_jobs, default=1, metavar="N",
         help="fan independent targets out over N worker processes "
         "('auto' or 0 = every CPU; default 1 = in-process serial; "
         "results are bit-identical either way)",

@@ -180,7 +180,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     """The ``cluster-scale`` subcommand (called from :mod:`repro.bench.cli`)."""
     import argparse
 
-    from repro.bench.cli import out_path
+    from repro.bench.cli import out_path, positive_int, positive_ints
 
     ap = argparse.ArgumentParser(
         prog="repro-bench cluster-scale",
@@ -193,10 +193,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="where to write the JSON report "
                     "(default ./BENCH_cluster_scale.json; '-' skips writing)")
     ap.add_argument("--nodes", type=int, default=120,
-                    help="simulated node count (default 120)")
-    ap.add_argument("--requests", type=int, default=None, metavar="N",
+                    help="simulated node count (default 120, at least 2)")
+    ap.add_argument("--requests", type=positive_int, default=None, metavar="N",
                     help="requests per node (default: the spec's 8)")
-    ap.add_argument("--shards", default="1,2,4",
+    ap.add_argument("--shards", type=positive_ints, default="1,2,4",
                     help="comma-separated shard counts (default 1,2,4; "
                     "1 is the identity reference and is always implied)")
     ap.add_argument("--seed", type=int, default=23)
@@ -209,7 +209,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="per-window reply timeout per forked shard "
                     "(default 1800)")
     args = ap.parse_args(argv)
-    counts = sorted({1} | {int(x) for x in args.shards.split(",") if x})
+    if args.nodes < 2:
+        ap.error(f"argument --nodes: need at least 2 nodes, got {args.nodes}")
+    counts = sorted({1, *args.shards})
     spec = default_spec(nnodes=args.nodes, seed=args.seed)
     if args.requests is not None:
         from dataclasses import replace

@@ -551,7 +551,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     import argparse
     import os
 
-    from repro.bench.cli import _jobs_arg, out_path
+    from repro.bench.cli import out_path
+    from repro.par import resolve_jobs
 
     ap = argparse.ArgumentParser(
         prog="repro-bench perf",
@@ -562,7 +563,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--out", metavar="PATH", type=out_path, default=None,
                     help=f"write the fingerprints to PATH (default ./{RECORD}, "
                     "or nothing with --check)")
-    ap.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
+    ap.add_argument("--jobs", type=resolve_jobs, default=1, metavar="N",
                     help="run the scenarios over N worker processes "
                     "('auto' or 0 = every CPU; default 1 = serial; the "
                     "fingerprints are identical either way)")

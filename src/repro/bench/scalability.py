@@ -104,7 +104,6 @@ def run_scalability(
     reps: int = 100,
     seed: int = 21,
     jobs: int = 1,
-    timeout_s: float | None = None,
 ) -> ScaleStudy:
     """Sweep machine sizes via :func:`scale_point`, one point per shape.
 
@@ -122,5 +121,5 @@ def run_scalability(
         )
         for nnuma, per in shapes
     ]
-    points = run_jobs_strict(specs, jobs=jobs, timeout_s=timeout_s)
+    points = run_jobs_strict(specs, jobs=jobs)
     return ScaleStudy(points=points)

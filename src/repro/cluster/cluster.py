@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.core.manager import PIOMan
-from repro.core.queues import TaskQueue
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.driver import DriverSpec, IB_CONNECTX
 from repro.net.fabric import Fabric
@@ -98,8 +97,6 @@ class Node:
         *,
         rng: Rng,
         tracer: Tracer = NULL_TRACER,
-        hierarchical: bool = True,
-        queue_factory: Callable = TaskQueue,
         registry=None,
         summary_fastpath: bool = True,
     ) -> None:
@@ -114,8 +111,6 @@ class Node:
             machine,
             engine,
             self.scheduler,
-            hierarchical=hierarchical,
-            queue_factory=queue_factory,
             tracer=tracer,
             name=f"pioman@{node_id}",
             registry=registry,
@@ -167,8 +162,6 @@ class Cluster:
         drivers: Sequence[DriverSpec] = (IB_CONNECTX,),
         seed: int = 0,
         tracer: Tracer = NULL_TRACER,
-        hierarchical: bool = True,
-        queue_factory: Callable = TaskQueue,
         registry=None,
         summary_fastpath: bool = True,
         faults: Optional[FaultPlan] = None,
@@ -204,8 +197,6 @@ class Cluster:
                 drivers,
                 rng=self.rng.fork(100 + i),
                 tracer=tracer,
-                hierarchical=hierarchical,
-                queue_factory=queue_factory,
                 registry=registry,
                 summary_fastpath=summary_fastpath,
             )
@@ -228,9 +219,9 @@ class Cluster:
                     registry.register(f"faults.node{node.id}", injector.stats)
                 self.fault_injectors[node.id] = injector
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Run the shared engine (see :meth:`repro.sim.Engine.run`)."""
-        return self.engine.run(until=until, max_events=max_events)
+        return self.engine.run(until=until)
 
     def __repr__(self) -> str:
         shard = f" shard={self.shard.index}/{self.shard.count}" if self.shard else ""

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import resource
 import time as _time
 from dataclasses import dataclass, field
@@ -293,7 +294,6 @@ def run_sharded(
     nshards: int,
     until: Optional[int] = None,
     serial: bool = False,
-    lookahead_ns: Optional[int] = None,
     timeout_s: Optional[float] = 600.0,
 ) -> ShardRunResult:
     """Simulate a cluster partitioned over ``nshards`` shards: this
@@ -310,17 +310,16 @@ def run_sharded(
     ``serial=True`` keeps every shard in-process (deterministically
     identical, no speedup) — required when the caller itself lives in a
     daemonic worker, which may not fork children.  ``timeout_s`` bounds
-    each forked shard's reply.
-
-    ``lookahead_ns`` overrides the fabric-derived lookahead; it may only
-    *shrink* the window (a larger-than-physical lookahead would break
-    causality), so the override is capped at the fabric minimum.
+    each forked shard's reply.  ``until`` bounds the run like
+    :meth:`repro.sim.Engine.run`'s.
     """
     from repro.obs.merge import union_snapshots
     from repro.par.shardpool import ShardPool, ShardPoolError
 
     if nshards < 1:
         raise ValueError("need at least one shard")
+    if until is not None and not math.isfinite(until):
+        raise ValueError(f"cannot run until {until!r} ns: not a finite time")
     specs = [
         JobSpec(
             name=f"shard{k}",
@@ -355,8 +354,6 @@ def run_sharded(
         if not bounds:
             raise ValueError("no NICs registered in any shard — nothing to sync")
         lookahead = min(bounds)
-        if lookahead_ns is not None:
-            lookahead = min(lookahead, int(lookahead_ns))
         if lookahead < 1:
             raise ValueError(f"non-positive lookahead {lookahead}ns")
         node_reports = pool.broadcast("node_ids")

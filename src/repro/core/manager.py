@@ -200,10 +200,6 @@ class PIOMan:
     # ------------------------------------------------------------------
     # task construction & submission
     # ------------------------------------------------------------------
-    def make_task(self, func, arg=None, **kwargs) -> LTask:
-        """Convenience constructor (see :class:`~repro.core.task.LTask`)."""
-        return LTask(func, arg, **kwargs)
-
     def submit(self, core: int, task: LTask) -> Generator[Instr, Any, LTask]:
         """Submit ``task`` from ``core`` (thread-context generator).
 
@@ -215,6 +211,30 @@ class PIOMan:
             raise RuntimeError(f"submit of {task.name!r} in state {task.state}")
         spec = self.machine.spec
         yield Compute(spec.task_init_ns)
+        queue = self._bind(core, task)
+        yield Compute(spec.submit_route_ns)
+        yield from queue.enqueue(core, task)
+        self._announce(core, task, queue)
+        return task
+
+    def submit_nowait(self, core: int, task: LTask) -> LTask:
+        """Host-instant submission from task context (tasks spawning tasks).
+
+        A running task's function cannot yield instructions; its own
+        ``cost_ns`` is expected to cover the submission work.  Routing,
+        completion-flag binding, statistics and doorbells behave exactly
+        like :meth:`submit`.
+        """
+        if task.state is not TaskState.CREATED:
+            raise RuntimeError(f"submit of {task.name!r} in state {task.state}")
+        queue = self._bind(core, task)
+        queue.enqueue_nowait(core, task)
+        self._announce(core, task, queue)
+        return task
+
+    def _bind(self, core: int, task: LTask) -> TaskQueue:
+        """Both submits' set-up: bind the completion flag and the submit
+        stamp, and route the CPU set to its queue."""
         if not task.name:
             self._anon_seq += 1
         task.completion = Flag(
@@ -223,9 +243,11 @@ class PIOMan:
         )
         task.submit_core = core
         task.submit_time = self.engine.now
-        queue = self.hierarchy.queue_for_cpuset(task.cpuset)
-        yield Compute(spec.submit_route_ns)
-        yield from queue.enqueue(core, task)
+        return self.hierarchy.queue_for_cpuset(task.cpuset)
+
+    def _announce(self, core: int, task: LTask, queue: TaskQueue) -> None:
+        """Both submits' tail, once ``task`` is queued: count it, trace it
+        and ring the doorbells of the cores that may run it."""
         self.stats.submits += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -240,42 +262,6 @@ class PIOMan:
             if self.tracer.enabled and task.name:
                 cause = (f"T:{task.name}/enq", self.engine.now)
             self.scheduler.ring_cpuset(ringable, core, cause=cause)
-        return task
-
-    def submit_nowait(self, core: int, task: LTask) -> LTask:
-        """Host-instant submission from task context (tasks spawning tasks).
-
-        A running task's function cannot yield instructions; its own
-        ``cost_ns`` is expected to cover the submission work.  Routing,
-        completion-flag binding, statistics and doorbells behave exactly
-        like :meth:`submit`.
-        """
-        if task.state is not TaskState.CREATED:
-            raise RuntimeError(f"submit of {task.name!r} in state {task.state}")
-        if not task.name:
-            self._anon_seq += 1
-        task.completion = Flag(
-            self.machine, self.engine, home=core,
-            name=f"done:{task.name or f'anon{self._anon_seq}'}",
-        )
-        task.submit_core = core
-        task.submit_time = self.engine.now
-        queue = self.hierarchy.queue_for_cpuset(task.cpuset)
-        queue.enqueue_nowait(core, task)
-        self.stats.submits += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.engine.now, "pioman", f"core{core}",
-                f"submit {task.name} -> {queue.name}",
-                phase="submit", task=task.name, queue=queue.name, core=core,
-            )
-        if self.scheduler is not None:
-            ringable = task.cpuset & queue.node.cpuset
-            cause = None
-            if self.tracer.enabled and task.name:
-                cause = (f"T:{task.name}/enq", self.engine.now)
-            self.scheduler.ring_cpuset(ringable, core, cause=cause)
-        return task
 
     def submit_preemptive(self, core: int, task: LTask) -> Generator[Instr, Any, LTask]:
         """Future-work extension (§VI): run ``task`` at once on a remote

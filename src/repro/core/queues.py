@@ -246,17 +246,7 @@ class TaskQueue:
             # invalidation, same as a lost dequeue race.
             yield self._release()
             return
-        if not self._tasks:
-            self._note_transition(core, prev_nonempty=False)
-        self._tasks.append(task)
-        task.state = TaskState.QUEUED
-        task.queue_name = self.name
-        task.enqueued_at = self.engine.now
-        self.stats.enqueues += 1
-        if len(self._tasks) > self.stats.max_len:
-            self.stats.max_len = len(self._tasks)
-        if self.tracer.enabled:
-            self._trace_enqueue(core, task)
+        self._append(core, task)
         yield self._release()
 
     def enqueue_nowait(self, core: int, task: LTask) -> None:
@@ -264,16 +254,21 @@ class TaskQueue:
 
         Used when a running task spawns another task (e.g. a data-filter
         stage): the caller cannot yield instructions, and its own task
-        cost already accounts for the submission work.  Transition
-        bookkeeping matches :meth:`enqueue`; lock traffic is not modeled
-        for this rare path.
+        cost already accounts for the submission work.  Line write and
+        list bookkeeping match :meth:`enqueue`; lock traffic is not
+        modeled for this rare path.
         """
         if task.state is TaskState.CANCELLED:
             return  # never resurrect a cancelled task (see enqueue)
-        if not self._tasks:
-            self._note_transition(core, prev_nonempty=False)
         self.state_line.write_async(core)
         self._note_state_write()
+        self._append(core, task)
+
+    def _append(self, core: int, task: LTask) -> None:
+        """Both enqueues' list bookkeeping: the emptiness transition, the
+        task's queued state and the queue statistics."""
+        if not self._tasks:
+            self._note_transition(core, prev_nonempty=False)
         self._tasks.append(task)
         task.state = TaskState.QUEUED
         task.queue_name = self.name

@@ -151,8 +151,5 @@ class CacheLine:
         """Atomic read-modify-write (CAS): a write plus the ALU cost."""
         return self.write(core) + self.machine.spec.cas_ns
 
-    def is_shared_by(self, core: int) -> bool:
-        return core in self.sharers
-
     def __repr__(self) -> str:
         return f"<CacheLine {self.name or id(self)} owner={self.owner} sharers={sorted(self.sharers)}>"

@@ -63,8 +63,5 @@ class Gate:
         self._send_seq[tag] = s + 1
         return s
 
-    def idle_rails(self) -> list["Nic"]:
-        return [nic for nic in self.rails if nic.tx_idle()]
-
     def __repr__(self) -> str:
         return f"<Gate {self.local_node}->{self.peer_node} outbox={len(self.outbox)} rails={len(self.rails)}>"

@@ -48,15 +48,6 @@ from repro.topology.machine import Level
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Node
 
-#: retired process-wide rendezvous id stream, kept only so old pickles /
-#: forks referencing it keep importing.  Live ids are per-NMad (see
-#: ``NMad._msg_ids``): a process-wide counter would make a node's message
-#: ids depend on how many *other* nodes share its process, which breaks
-#: the sharded-vs-single-process fingerprint identity contract — each
-#: shard hosts a subset of the nodes.  Rendezvous state is therefore
-#: keyed ``(src_node, msg_id)`` on the receive side.
-_msg_ids = itertools.count(1)
-
 
 class NMadStats:
     __slots__ = (
@@ -119,7 +110,11 @@ class NMad:
         #: by bare msg_id; inbound state keys by (src node, msg_id)
         self.rdv_out: dict[int, SendRequest] = {}
         self.rdv_in: dict[tuple[int, int], RecvRequest] = {}
-        #: per-node id/seq streams — never process-global (see _msg_ids)
+        #: per-node id/seq streams, never process-global: a process-wide
+        #: counter would make a node's message ids depend on how many
+        #: *other* nodes share its process, which breaks the sharded-vs-
+        #: single-process fingerprint identity (each shard hosts a subset
+        #: of the nodes)
         self._msg_ids = itertools.count(1)
         self._req_seq = itertools.count()
         self.pending_ops = 0

@@ -51,15 +51,13 @@ def resolve_target(target: str) -> Callable[..., Any]:
 class JobSpec:
     """One unit of work: a named call to a module-level function.
 
-    ``timeout_s`` overrides the pool-wide timeout for this job only;
-    ``None`` means inherit.  ``name`` is the job's identity for reporting
-    and seed derivation — unique within one :func:`run_jobs` batch.
+    ``name`` is the job's identity for reporting and seed derivation —
+    unique within one :func:`run_jobs` batch.
     """
 
     name: str
     target: str
     kwargs: dict = field(default_factory=dict)
-    timeout_s: Optional[float] = None
 
     def run(self) -> Any:
         """Execute in the current process (the serial path and the worker

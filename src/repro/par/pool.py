@@ -14,10 +14,10 @@ Design choices, in order of importance:
   a *crashed* worker (killed, segfault, ``os._exit``) is retried once —
   the simulator is deterministic, so an in-band exception will just
   recur, but a crash may be environmental (OOM killer, signal).
-* **Serial fallback.**  ``jobs <= 1``, a platform without ``fork``
-  (Windows, some macOS configs), or ``force_serial=True`` runs the same
-  specs in-process, in order, through the very same :meth:`JobSpec.run`
-  the workers use.
+* **Serial fallback.**  ``jobs <= 1``, a single spec, or a platform
+  without ``fork`` (Windows, some macOS configs) runs the same specs
+  in-process, in order, through the very same :meth:`JobSpec.run` the
+  workers use.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from repro.par.jobs import JobFailure, JobResult, JobSpec
 
 #: status tokens a worker sends back over its pipe
 _OK, _ERR = "ok", "err"
+#: relaunches granted to a worker that dies without reporting
+_CRASH_RETRIES = 1
 
 
 def has_fork() -> bool:
@@ -125,25 +127,23 @@ def run_jobs(
     *,
     jobs=1,
     timeout_s: Optional[float] = None,
-    crash_retries: int = 1,
-    force_serial: bool = False,
 ) -> list[JobResult]:
     """Run every spec; return :class:`JobResult` objects **in spec order**.
 
     ``jobs`` is the worker-process cap (``0``/``"auto"``/``None`` resolve
     to ``os.cpu_count()`` via :func:`resolve_jobs`); ``timeout_s`` the
-    default per-job wall-clock limit (``spec.timeout_s`` overrides per
-    job; ``None`` = unlimited).  A worker that dies without reporting is
-    retried up to ``crash_retries`` times; a job that *raises* is not
-    retried (the simulator is deterministic — it would raise again).
+    per-job wall-clock limit of a forked job (``None`` = unlimited).  A
+    worker that dies without reporting is retried once; a job that
+    *raises* is not retried (the simulator is deterministic — it would
+    raise again), and neither is one that timed out.
 
     Every result carries ``workers`` — the resolved concurrency the batch
     actually ran under — so callers never have to guess what ``auto``
     meant on this host.
 
     Falls back to in-process serial execution when the resolved count is
-    1, when there is at most one spec, when the platform lacks ``fork``,
-    or when ``force_serial`` is set.  Both paths execute
+    1, when there is at most one spec, or when the platform lacks
+    ``fork``.  Both paths execute
     :meth:`JobSpec.run`, so the fallback is an equivalence, not an
     approximation.
     """
@@ -151,7 +151,7 @@ def run_jobs(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate job names: {names}")
     jobs = resolve_jobs(jobs)
-    if force_serial or jobs <= 1 or len(specs) <= 1 or not has_fork():
+    if jobs <= 1 or len(specs) <= 1 or not has_fork():
         return _run_serial(specs)
     workers = min(jobs, len(specs))
 
@@ -171,8 +171,7 @@ def run_jobs(
         )
         proc.start()
         send_end.close()  # parent keeps only the read end
-        limit = spec.timeout_s if spec.timeout_s is not None else timeout_s
-        deadline = time.monotonic() + limit if limit is not None else None
+        deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         running[recv_end] = (proc, index, attempt, deadline)
 
     def reap(proc) -> None:
@@ -194,10 +193,9 @@ def run_jobs(
 
     def record_timeout(conn, proc, index: int, attempt: int) -> None:
         spec = specs[index]
-        limit = spec.timeout_s if spec.timeout_s is not None else timeout_s
         results[index] = JobResult(
             name=spec.name, index=index, ok=False,
-            error=f"timed out after {limit:g}s",
+            error=f"timed out after {timeout_s:g}s",
             attempts=attempt, pid=proc.pid, parallel=True,
         )
         try:
@@ -234,17 +232,13 @@ def run_jobs(
                         # retryable crash: relaunching would grant the job a
                         # fresh full time budget, so a wedged-then-killed
                         # worker could double or triple the intended limit.
-                        limit = (
-                            spec.timeout_s if spec.timeout_s is not None
-                            else timeout_s
-                        )
                         results[index] = JobResult(
                             name=spec.name, index=index, ok=False,
-                            error=f"worker crashed at its {limit:g}s deadline "
+                            error=f"worker crashed at its {timeout_s:g}s deadline "
                             f"(exit {proc.exitcode}), not retried",
                             attempts=attempt, pid=proc.pid, parallel=True,
                         )
-                    elif attempt <= crash_retries:
+                    elif attempt <= _CRASH_RETRIES:
                         pending.append((index, attempt + 1))
                     else:
                         results[index] = JobResult(
@@ -321,22 +315,11 @@ def run_jobs_strict(
     *,
     jobs=1,
     timeout_s: Optional[float] = None,
-    crash_retries: int = 1,
-    force_serial: bool = False,
 ) -> list:
     """Like :func:`run_jobs` but returns bare values, raising
     :class:`JobFailure` (listing every failed job) if any job failed."""
-    results = run_jobs(
-        specs, jobs=jobs, timeout_s=timeout_s,
-        crash_retries=crash_retries, force_serial=force_serial,
-    )
+    results = run_jobs(specs, jobs=jobs, timeout_s=timeout_s)
     failures = [r for r in results if not r.ok]
     if failures:
         raise JobFailure(failures)
     return [r.value for r in results]
-
-
-def _job_pid(_: object = None) -> int:
-    """Tiny importable job target: the executing process id (used by the
-    fallback / fan-out tests to prove where a job actually ran)."""
-    return os.getpid()

@@ -6,10 +6,10 @@ engine knows nothing about cores or networks — higher layers schedule
 plain callbacks.  Two API families exist because the callers split
 cleanly into two camps:
 
-* :meth:`Engine.schedule` / :meth:`Engine.call_soon` return an
-  :class:`Event` handle that can be *cancelled* (lazy deletion — the
-  queued entry is kept but skipped).  Used when the caller keeps the
-  handle (sleep timers, interruptible compute slices).
+* :meth:`Engine.schedule` returns an :class:`Event` handle that can be
+  *cancelled* (lazy deletion — the queued entry is kept but skipped).
+  Used when the caller keeps the handle (sleep timers, interruptible
+  compute slices).
 * :meth:`Engine.post` / :meth:`Engine.post_soon` / :meth:`Engine.post_at`
   are the fire-and-forget fast path: no handle escapes, so no Event
   object is needed at all (the dominant case — dispatch ticks, lock
@@ -28,9 +28,9 @@ in exact ``(time, seq)`` order.  The randomized fuzz in
 ``tests/sim/test_engine_wheel.py`` holds the wheel to that order against
 a plain-``heapq`` reference engine that lives in the tests.
 
-*Drain hooks*: callables consulted when the queue drains while some
-component still claims to be waiting for progress; used by the cluster
-harness to detect deadlocks instead of silently returning.
+A run ends at its ``until`` bound or when the queue drains; draining
+while a registered reporter still counts blocked actors raises
+:class:`DeadlockError` instead of silently returning.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ WHEEL_SHIFT = 12
 WHEEL_SLOTS = 256
 WHEEL_MASK = WHEEL_SLOTS - 1
 
-#: leap-consult threshold of runs that never consult the leap: later
-#: than any virtual time a run reaches
+#: leap-consult threshold of an engine without a leap: later than any
+#: virtual time a run reaches
 _NEVER = 1 << 62
 
 class SimulationError(RuntimeError):
@@ -137,8 +137,8 @@ class Engine:
     tiers, cheapest first:
 
     * ``time == now`` → ``_nowq``, a plain FIFO: these are the
-      same-instant events (``post_soon``/``call_soon`` and zero-delay
-      posts) and they fire *as a batch with no ordering work at all*.
+      same-instant events (``post_soon`` and zero-delay posts and
+      handles) and they fire *as a batch with no ordering work at all*.
       This is sound because ``seq`` is globally monotonic and every
       at-``now`` arrival during an instant lands here — so anything
       already queued at this time has a smaller ``seq`` than every
@@ -160,10 +160,6 @@ class Engine:
         self._running = False
         #: number of callbacks actually executed (dead events excluded)
         self.fired: int = 0
-        #: callables polled when the queue drains; if any returns True the
-        #: engine keeps running (the hook is expected to have scheduled
-        #: new work), otherwise :meth:`run` returns.
-        self.drain_hooks: list[Callable[[], bool]] = []
         #: callables that report the number of actors still blocked waiting
         #: for a simulation event; consulted on drain for deadlock detection.
         self.blocked_reporters: list[Callable[[], int]] = []
@@ -200,16 +196,6 @@ class Engine:
         #: its slot list in ``_slots``), else None
         self._abuc: Optional[list] = None
 
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute virtual time (>= now)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        return self.schedule(time - self.now, fn, *args)
-
-    def run_until_idle(self) -> int:
-        """Alias of :meth:`run` with no bound — runs to a fully drained queue."""
-        return self.run()
-
     def pending(self) -> int:
         """Number of live events still queued (O(1))."""
         return self._live
@@ -225,11 +211,9 @@ class Engine:
         """
         return sum(r() for r in self.blocked_reporters)
 
-    def _drained(self) -> Optional[int]:
-        """Queue is empty: poll drain hooks, detect deadlock.  Returns
-        the final virtual time to report, or None to keep running."""
-        if any(hook() for hook in self.drain_hooks):
-            return None
+    def _drained(self) -> int:
+        """Queue is empty: raise on deadlock, else return the final
+        virtual time."""
         blocked = self.blocked_actors()
         if blocked:
             raise DeadlockError(
@@ -288,16 +272,6 @@ class Engine:
             self._insert((time, seq, None, ev))
         return ev
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(self.now, seq, fn, args)
-        ev._engine = self
-        self._live += 1
-        self._nowq.append((ev.time, seq, None, ev))
-        return ev
-
     # ------------------------------------------------------------------
     # scheduling — fire-and-forget fast path (no handle, no carrier)
     # ------------------------------------------------------------------
@@ -319,8 +293,9 @@ class Engine:
             self._insert((time, seq, fn, args))
 
     def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`, with its checks and its
-        rounding: a fractional time fires at the next whole ns."""
+        """Fire-and-forget at an absolute virtual time (>= now), checked
+        and rounded like :meth:`post`'s delay: a fractional time fires at
+        the next whole ns, a non-finite one raises."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         if type(time) is not int:
@@ -336,7 +311,8 @@ class Engine:
             self._insert((time, seq, fn, args))
 
     def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`call_soon`."""
+        """Fire-and-forget at the current time, after every tie already
+        queued (the same-instant FIFO)."""
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
@@ -363,7 +339,7 @@ class Engine:
 
         Only needed when an entry posted at ``now`` survives past the
         instant it was posted in — i.e. it arrived outside a run (setup
-        code, between bounded runs) or a callback raised mid-instant.
+        code, between runs) or a callback raised mid-instant.
         The wheel may then already hold ties at the same time with
         *smaller* seqs, so the cheap FIFO ordering no longer suffices
         and the entries must merge through the normal (time, seq) path.
@@ -465,66 +441,42 @@ class Engine:
             return e[0]
         return None
 
-    def step(self) -> bool:
-        """Run the single next live event.  Returns False if none exist."""
-        t = self.peek_time()
-        if t is None:
-            return False
-        # peek_time left the next live entry at the top of its
-        # (heapified) bucket, or at the overflow head if the wheel is
-        # empty.
-        bidx = self._bidx
-        if bidx:
-            lst = self._slots[bidx[0] & WHEEL_MASK]
-            e = heappop(lst)
-            if not lst:
-                del bidx[0]
-        else:
-            e = heappop(self._over)
-        self.now = e[0]
-        self.fired += 1
-        self._live -= 1
-        fn = e[2]
-        if fn is not None:
-            fn(*e[3])
-        else:
-            ev = e[3]
-            ev._engine = None
-            ev.fn(*ev.args)
-        return True
+    def run(self, until: Optional[float] = None) -> int:
+        """Run until the queue drains or the clock reaches ``until`` ns;
+        returns the virtual time.
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` ns is reached, or
-        ``max_events`` callbacks fired.  Returns the virtual time.
-
-        Draining with blocked actors raises :class:`DeadlockError` — a
-        simulation that silently stops with threads still waiting is
-        almost always a bug in the caller's protocol.  An ``until``
-        before ``now`` raises :class:`ValueError`: the clock never moves
-        backwards.
+        Events at times <= ``until`` fire.  Times are whole ns, so a
+        fractional bound stops the clock at ``floor(until)``; a
+        non-finite one, or one before ``now``, raises
+        :class:`ValueError` (the clock never moves backwards).  Draining
+        with blocked actors raises :class:`DeadlockError` — a simulation
+        that silently stops with threads still waiting is almost always a
+        bug in the caller's protocol.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
+        hi = until
+        if hi is not None:
+            if type(hi) is not int:
+                if not math.isfinite(hi):
+                    raise ValueError(f"cannot run until {until!r} ns: not a finite time")
+                hi = math.floor(hi)
+            if hi < self.now:
+                raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
         self._running = True
         SHIFT = WHEEL_SHIFT
         MASK = WHEEL_MASK
         SLOTS = WHEEL_SLOTS
         slots = self._slots
         over = self._over
-        hi = until
-        budget = max_events
         nfired = 0
         ndone = 0  # deferred _live decrements, flushed once in finally
         cur = self.now  # mirror of self.now: skip the store on time ties
         # Quiescence leap: consulted at the first clock advance strictly
-        # past ``ntry`` (see the drain loop), never on budgeted runs — a
-        # leap fires many events per call, which a max_events bound must
-        # count one at a time.  Without a leap the check is one compare
-        # against a time no run reaches.
+        # past ``ntry`` (see the drain loop).  Without a leap the check is
+        # one compare against a time no run reaches.
         lp = self.leap
-        ntry = _NEVER if lp is None or budget is not None else lp.next_try
+        ntry = _NEVER if lp is None else lp.next_try
         bidx = self._bidx
         if self._nowq:
             # entries posted at ``now`` outside a run may tie with older
@@ -533,14 +485,12 @@ class Engine:
         nowq = self._nowq
         try:
             while True:
-                if budget is not None and budget <= 0:
-                    return self.now
                 if not bidx:
                     if over:
                         # wheel empty: jump the window to the overflow head
                         t0 = over[0][0]
                         if hi is not None and t0 > hi:
-                            self.now = cur = hi
+                            self.now = hi
                             return hi
                         idx0 = t0 >> SHIFT
                         self._wpos = idx0
@@ -556,22 +506,16 @@ class Engine:
                         continue
                     # fully drained: the cursor may sit ahead of ``now``
                     # after dead-only buckets; restart the window where
-                    # the drain hooks (and post-run callers) will insert
+                    # post-run callers will insert
                     self._retreat_window()
-                    t = self._drained()
-                    if t is None:
-                        if nowq:
-                            # a drain hook posted at ``now``: merge
-                            self._flush_nowq()
-                        continue
-                    return t
+                    return self._drained()
                 pos = bidx[0]
                 bstart = pos << SHIFT
                 if hi is not None and bstart > hi:
                     # every queued event is past the bound.  The window
                     # start only ever committed to buckets <= hi's, so
                     # inserts after this return cannot alias.
-                    self.now = cur = hi
+                    self.now = hi
                     return hi
                 if pos != self._wpos:
                     # commit the window start and migrate any overflow
@@ -587,9 +531,8 @@ class Engine:
                             lst.append(e)
                             if len(lst) == 1:
                                 insort(bidx, i0)
-                careful = budget is not None or (
-                    hi is not None and bstart + (1 << SHIFT) > hi
-                )
+                # the bound falls inside this bucket: check each head
+                careful = hi is not None and bstart + (1 << SHIFT) > hi
                 # ---- drain bucket ``pos`` in place as a tiny heap ----
                 # ``_aend``/``_abuc`` redirect the bucket's own
                 # same-bucket arrivals to heappush straight into
@@ -605,32 +548,26 @@ class Engine:
                     # FIFO, which IS (time, seq) order (see class doc) —
                     # unless older ties still sit at the batch head.
                     # Checked at the top so every pop path (fires AND
-                    # dead-entry skims) reconsiders the FIFO before
+                    # dead-entry skips) reconsiders the FIFO before
                     # advancing past the instant.
                     if nowq and not (batch and batch[0][0] == cur):
                         i = 0
                         try:
                             while i < len(nowq):
                                 e = nowq[i]
-                                efn = e[2]
-                                if efn is None:
-                                    ev = e[3]
-                                    if not ev.alive:
-                                        i += 1
-                                        continue
-                                if budget is not None:
-                                    if budget == 0:
-                                        del nowq[:i]
-                                        return self.now
-                                    budget -= 1
                                 i += 1
-                                nfired += 1
-                                ndone += 1
+                                efn = e[2]
                                 if efn is not None:
+                                    nfired += 1
+                                    ndone += 1
                                     efn(*e[3])
                                 else:
-                                    ev._engine = None
-                                    ev.fn(*ev.args)
+                                    ev = e[3]
+                                    if ev.alive:
+                                        nfired += 1
+                                        ndone += 1
+                                        ev._engine = None
+                                        ev.fn(*ev.args)
                         except BaseException:
                             # drop the fired prefix (the raiser included:
                             # it counts as fired and must not refire on
@@ -641,21 +578,9 @@ class Engine:
                         continue  # instant callbacks may have refilled batch
                     if not batch:
                         break
-                    if careful:
-                        # bounded drain: skim dead handles first, apply
-                        # the bounds against a live head, count only
-                        # fired events against budget
-                        e0 = batch[0]
-                        if e0[2] is None and not e0[3].alive:
-                            heappop(batch)
-                            continue
-                        if hi is not None and e0[0] > hi:
-                            self.now = cur = hi
-                            return hi
-                        if budget is not None:
-                            if budget == 0:
-                                return self.now
-                            budget -= 1
+                    if careful and batch[0][0] > hi:
+                        self.now = hi
+                        return hi
                     t, s, fn, a = heappop(batch)
                     if t != cur and (fn is not None or a.alive):
                         # the clock advances (entering a new bucket

@@ -176,9 +176,6 @@ class Scheduler:
         *,
         name: str = "node0",
         tracer: Tracer = NULL_TRACER,
-        ctx_hook_min_interval_ns: int = 2_000,
-        enable_ctx_hook: bool = True,
-        enable_timer_hook: bool = True,
         rng: Optional[Rng] = None,
         true_spin: bool = False,
         registry: Optional["MetricsRegistry"] = None,
@@ -212,9 +209,6 @@ class Scheduler:
         #: ``progression_fast_done(ns)`` records the realized pass span.
         self.progression_fast: Optional[Callable[[int], Optional[Instr]]] = None
         self.progression_fast_done: Optional[Callable[[int], None]] = None
-        self.ctx_hook_min_interval_ns = ctx_hook_min_interval_ns
-        self.enable_ctx_hook = enable_ctx_hook
-        self.enable_timer_hook = enable_timer_hook
         #: randomness source for doorbell probe phases (see ring_doorbell)
         self.rng = rng if rng is not None else Rng(0)
         #: validation mode: idle cores literally re-scan every probe cycle
@@ -302,6 +296,9 @@ class Scheduler:
     #: how many extra probe cycles an idle core lingers after losing a
     #: dequeue race before parking (a spinning core stays in its hot loop)
     idle_linger_probes = 4
+    #: least virtual time between two hooks injected on one core at
+    #: context-switch or timer keypoints (see ``_maybe_inject_hook``)
+    ctx_hook_min_interval_ns = 2_000
 
     def _idle_body(self, ctx: ThreadCtx) -> Generator[Instr, Any, Any]:
         core_id = ctx.core_id
@@ -550,15 +547,11 @@ class Scheduler:
         if self.progression_hook is None or core.hook_live:
             return
         if kind is Keypoint.CTX_SWITCH:
-            if not self.enable_ctx_hook:
-                return
             # The idle loop already runs the hook; don't double up around it,
             # and never re-inject around a hook thread's own switches.
             for t in (prev, nxt):
                 if t is not None and (t.prio != Prio.NORMAL or t.is_hook):
                     return
-        if kind is Keypoint.TIMER and not self.enable_timer_hook:
-            return
         now = self.engine.now
         if now - core.last_inject < self.ctx_hook_min_interval_ns:
             return

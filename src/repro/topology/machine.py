@@ -228,10 +228,6 @@ class Machine:
         """Invalidation-propagation latency between two cores (ns)."""
         return self._inval[src_core][dst_core]
 
-    def inval_row(self, src_core: int) -> list[int]:
-        """One row of the invalidation matrix (hot-path row binding)."""
-        return self._inval[src_core]
-
     def notice(self, src_core: int, dst_core: int) -> int:
         """When a store by ``src_core`` becomes observable on ``dst_core``:
         ``max(xfer, inval)`` — a probe cannot see the write before the

@@ -77,6 +77,33 @@ def test_output_path_in_missing_directory_fails_before_running(argv, tmp_path, c
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--reps", "0"],
+    ["table1", "--reps", "-3"],
+    ["fig5", "--points", "0"],
+    ["fig4", "--iters", "0"],
+    ["fig4", "--iters", "1", "--threads", "0"],
+    ["fig4", "--threads", "1,x"],
+    ["table1", "--jobs", "-1"],
+    ["perf", "--jobs", "x"],
+    ["cluster-scale", "--requests", "0"],
+    ["cluster-scale", "--shards", "0"],
+    ["cluster-scale", "--shards", "x"],
+    ["cluster-scale", "--nodes", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_bad_count_fails_before_running(argv, capsys):
+    """Every count flag checks its value at parse time: exit 2 with one
+    error line naming the flag, and nothing simulated."""
+    from repro.bench.cli import main as bench_main
+
+    with pytest.raises(SystemExit) as exc:
+        bench_main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: " in err.splitlines()[-1]
+
+
 def test_output_path_that_is_a_directory_is_rejected(tmp_path, capsys):
     from repro.bench.cli import main as bench_main
 

@@ -25,6 +25,7 @@ from repro.cluster.workload import (
 )
 from repro.faults import FaultPlan, NetFaults
 from repro.mpi import MadMPI
+from repro.net.fabric import Fabric
 from repro.obs.registry import MetricsRegistry
 from repro.par import ShardPoolError
 from repro.par.pool import has_fork
@@ -309,25 +310,23 @@ class TestProtocol:
         capped = run_one_until(spec, until=50_000)
         assert capped.virtual_ns <= 50_000
 
-    def test_lookahead_is_positive_and_capped(self):
+    def test_lookahead_is_positive_and_capped(self, monkeypatch):
+        """The window is capped at the fabric's minimum lookahead: a
+        fabric granting half of it means more barriers, same simulation."""
         spec = small_spec()
         full = run_one(spec, 2)
         assert full.lookahead_ns > 0
-        kwargs = {"spec": spec, "machine": "smp1x2", "trace": False}
-        shrunk = run_sharded(
-            BUILDER, kwargs, nshards=2, serial=True,
-            lookahead_ns=full.lookahead_ns // 2,
-        )
-        assert shrunk.lookahead_ns == full.lookahead_ns // 2
-        # a smaller window means more barriers, same simulation
+        half = full.lookahead_ns // 2
+        monkeypatch.setattr(Fabric, "min_lookahead_ns", lambda self: half)
+        shrunk = run_one(spec, 2)
+        assert shrunk.lookahead_ns == half
         assert shrunk.windows >= full.windows
-        assert shrunk.fired == full.fired
-        # the override may only shrink: asking for more gets the fabric cap
-        capped = run_sharded(
-            BUILDER, kwargs, nshards=2, serial=True,
-            lookahead_ns=full.lookahead_ns * 1000,
-        )
-        assert capped.lookahead_ns == full.lookahead_ns
+        assert shrunk.fingerprint() == full.fingerprint()
+
+    def test_non_finite_until_is_refused(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not a finite time"):
+                run_sharded(BUILDER, {"spec": small_spec()}, nshards=1, until=bad)
 
     def test_nshards_must_be_positive(self):
         with pytest.raises(ValueError):

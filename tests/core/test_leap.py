@@ -192,11 +192,6 @@ def _mid_bucket_bounds(engine, duration):
         engine.run(until=t)
 
 
-def _budgeted(engine, duration):
-    while engine.now < duration:
-        engine.run(until=duration, max_events=997)
-
-
 @pytest.mark.parametrize("gaps_us", [(2,), (3, 7), (25,)])
 def test_leap_identity_mid_bucket_bounds(gaps_us):
     """Bounded runs whose ``until`` falls mid-bucket: the leap stops at
@@ -208,15 +203,6 @@ def test_leap_identity_mid_bucket_bounds(gaps_us):
     # the bounds leave the world as one unbounded-to-duration run would
     whole = _run(leap=False, duration_us=300, gaps_us=gaps_us)
     _assert_identical(on, whole)
-
-
-def test_max_events_runs_never_leap():
-    """A ``max_events`` budget counts fires one at a time: such runs must
-    never consult the leap, and still match leap-off."""
-    on = _run(leap=True, duration_us=200, drive=_budgeted)
-    off = _run(leap=False, duration_us=200, drive=_budgeted)
-    assert on["leaps"] == 0
-    _assert_identical(on, off)
 
 
 @pytest.mark.parametrize("leap", [True, False])

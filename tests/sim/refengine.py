@@ -1,5 +1,6 @@
 """Plain-``heapq`` reference for the event-core fuzzes: no pool, no fast paths."""
 
+import math
 from heapq import heappop, heappush
 
 from repro.sim.engine import Event, _coerce_delay
@@ -19,13 +20,13 @@ class HeapqEngine:
         heappush(self._heap, (ev.time, ev.seq, ev))
         return ev
 
-    def schedule_at(self, time, fn, *args):
+    def post_at(self, time, fn, *args):
         return self.schedule(time - self.now, fn, *args)  # past: ValueError
 
-    def call_soon(self, fn, *args):
+    def post_soon(self, fn, *args):
         return self.schedule(0, fn, *args)
 
-    post, post_at, post_soon = schedule, schedule_at, call_soon  # handle dropped
+    post = schedule  # the post family only drops the handle
 
     def pending(self):
         return self._live
@@ -35,26 +36,24 @@ class HeapqEngine:
             heappop(self._heap)
         return self._heap[0][0] if self._heap else None
 
-    def step(self):
-        if self.peek_time() is None:
-            return False
-        self.now, _, ev = heappop(self._heap)
-        self.fired += 1
-        self._live -= 1
-        ev._engine = None
-        ev.fn(*ev.args)
-        return True
-
-    def run(self, until=None, max_events=None):
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
-        n = 0
-        while (max_events is None or n < max_events) and self.peek_time() is not None:
-            if until is not None and self.peek_time() > until:
-                self.now = until
+    def run(self, until=None):
+        hi = until
+        if hi is not None:
+            if type(hi) is not int:
+                if not math.isfinite(hi):
+                    raise ValueError(f"cannot run until {until!r} ns: not a finite time")
+                hi = math.floor(hi)
+            if hi < self.now:
+                raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
+        while self.peek_time() is not None:
+            if hi is not None and self.peek_time() > hi:
+                self.now = hi
                 break
-            self.step()
-            n += 1
+            self.now, _, ev = heappop(self._heap)
+            self.fired += 1
+            self._live -= 1
+            ev._engine = None
+            ev.fn(*ev.args)
         return self.now
 
     def next_external_time(self, carriers):

@@ -1,5 +1,7 @@
 """Engine: event ordering, cancellation, run bounds, deadlock detection."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,30 +32,6 @@ def test_ties_fire_in_submission_order():
         eng.schedule(5, seen.append, tag)
     eng.run()
     assert seen == list(range(10))
-
-
-def test_call_soon_runs_at_current_time():
-    eng = Engine()
-    times = []
-    eng.schedule(7, lambda: eng.call_soon(lambda: times.append(eng.now)))
-    eng.run()
-    assert times == [7]
-
-
-def test_schedule_at_absolute():
-    eng = Engine()
-    seen = []
-    eng.schedule_at(100, seen.append, "x")
-    eng.run()
-    assert seen == ["x"] and eng.now == 100
-
-
-def test_schedule_at_past_raises():
-    eng = Engine()
-    eng.schedule(10, lambda: None)
-    eng.run()
-    with pytest.raises(ValueError):
-        eng.schedule_at(5, lambda: None)
 
 
 def test_negative_delay_raises():
@@ -115,16 +93,26 @@ def test_run_until_before_now_is_refused(make):
     assert seen == ["a", "c", "b"]
 
 
-def test_run_max_events():
-    eng = Engine()
-    for i in range(10):
-        eng.schedule(i + 1, lambda: None)
-    eng.run(max_events=3)
-    assert eng.fired == 3
-
-
-def test_step_returns_false_when_empty():
-    assert Engine().step() is False
+@pytest.mark.parametrize("make", [Engine, HeapqEngine], ids=["wheel", "reference"])
+def test_fractional_until_stops_the_clock_at_a_whole_ns(make):
+    """Times are whole ns: a fractional bound fires the events at or
+    before it and leaves ``now == floor(until)``, an int the wheel can
+    keep inserting at.  A non-finite bound raises, naming it, and runs
+    nothing."""
+    eng = make()
+    seen = []
+    for t in (10, 5000, 5001, 10**7):
+        eng.post(t, seen.append, t)
+    assert eng.run(until=5000.7) == 5000
+    assert type(eng.now) is int and eng.now == 5000
+    assert seen == [10, 5000]
+    eng.schedule(1, seen.append, "next")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"until {bad!r} ns: not a finite time"):
+            eng.run(until=bad)
+    assert eng.now == 5000 and seen == [10, 5000]
+    assert eng.run() == 10**7
+    assert seen == [10, 5000, 5001, "next", 10**7]
 
 
 def test_pending_counts_live_events():
@@ -168,23 +156,6 @@ def test_deadlock_detection_via_blocked_reporters():
     eng.schedule(1, lambda: None)
     with pytest.raises(DeadlockError):
         eng.run()
-
-
-def test_drain_hook_extends_run():
-    eng = Engine()
-    refills = []
-
-    def refill():
-        if len(refills) < 3:
-            refills.append(1)
-            eng.schedule(10, lambda: None)
-            return True
-        return False
-
-    eng.drain_hooks.append(refill)
-    eng.run()
-    assert len(refills) == 3
-    assert eng.now == 30
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60))

@@ -59,19 +59,19 @@ def test_non_finite_delay_raises(bad):
         eng.post(bad, lambda: None)
 
 
-def test_post_at_rounds_and_checks_like_schedule_at():
-    """A fractional absolute time fires at the next whole ns and a
-    non-finite one is refused before anything is queued."""
+def test_post_at_rounds_up_and_refuses_non_finite():
+    """A fractional absolute time fires at the next whole ns, like a
+    fractional ``schedule`` delay, and a non-finite one is refused
+    before anything is queued."""
     eng = Engine()
     seen = []
     eng.post_at(5000.5, lambda: seen.append(("post_at", eng.now)))
-    eng.schedule_at(5000.5, lambda: seen.append(("schedule_at", eng.now)))
+    eng.schedule(5000.5, lambda: seen.append(("schedule", eng.now)))
     eng.run()
-    assert seen == [("post_at", 5001), ("schedule_at", 5001)]
+    assert seen == [("post_at", 5001), ("schedule", 5001)]
     for bad in (math.nan, math.inf):
-        for call in (eng.post_at, eng.schedule_at):
-            with pytest.raises(ValueError, match="non-finite"):
-                call(bad, lambda: None)
+        with pytest.raises(ValueError, match="non-finite"):
+            eng.post_at(bad, lambda: None)
     with pytest.raises(ValueError, match="in the past"):
         eng.post_at(5000.5, lambda: None)
     assert eng.pending() == 0

@@ -3,12 +3,13 @@
 The wheel must realize the exact ``(time, seq)`` total order that a
 plain binary heap defines: the randomized fuzz drives the engine and the
 test-only :class:`~tests.sim.refengine.HeapqEngine` with identical
-workloads — schedule/post/cancel mixes, same-tick ties, ``schedule_at``
-far beyond the wheel horizon, cancellation mid-bucket — and asserts
-identical fire order, ``now``, ``fired`` and ``pending()`` at every
-step.  The unit tests pin down the wheel machinery: window slides,
-overflow migration, the same-instant FIFO, bounded runs cutting a bucket
-in half, and mid-drain re-queues into the live bucket.
+workloads — every insert call, same-tick ties, cancellable handles at
+delay 0 and far beyond the wheel horizon, cancellation mid-bucket — and
+asserts identical fire order, ``now``, ``fired`` and ``pending()`` after
+every instant and every ``until`` bound.  The unit tests pin down the
+wheel machinery: window slides, overflow migration, the same-instant
+FIFO, bounded runs cutting a bucket in half, and mid-drain re-queues
+into the live bucket.
 """
 
 import random
@@ -71,11 +72,11 @@ class _Driver:
         elif kind == 3:
             self.handles[tag] = eng.schedule(rng.randrange(0, 9000), self._fire, tag)
         elif kind == 4:
-            self.handles[tag] = eng.call_soon(self._fire, tag)
+            self.handles[tag] = eng.schedule(0, self._fire, tag)
         else:
             # far-future: overflow heap, migrates in on window slides
-            self.handles[tag] = eng.schedule_at(
-                eng.now + rng.randrange(HORIZON_NS, 3 * HORIZON_NS), self._fire, tag
+            self.handles[tag] = eng.schedule(
+                rng.randrange(HORIZON_NS, 3 * HORIZON_NS), self._fire, tag
             )
 
     def _cancel_one(self):
@@ -107,39 +108,37 @@ def test_fuzz_wheel_heap_equivalence_full_run(seed):
 
 @pytest.mark.parametrize("seed", [3, 17, 2718])
 def test_fuzz_equivalence_stepwise(seed):
-    """Single-stepping must agree with the reference at *every* event."""
+    """Running one instant at a time (``until`` = the next event's time)
+    must agree with the reference after *every* instant."""
     dw = _Driver(Engine(), seed)
     dh = _Driver(HeapqEngine(), seed)
     dw.seed_work(60)
     dh.seed_work(60)
     while True:
-        more_w = dw.eng.step()
-        more_h = dh.eng.step()
-        assert more_w == more_h
-        assert dw.state() == dh.state()
-        if not more_w:
+        t = dw.eng.peek_time()
+        assert t == dh.eng.peek_time()
+        if t is None:
             break
+        assert dw.eng.run(until=t) == dh.eng.run(until=t) == t
+        assert dw.state() == dh.state()
 
 
 @pytest.mark.parametrize("seed", [5, 23, 555])
 def test_fuzz_equivalence_bounded_runs(seed):
-    """Alternating until/max_events bounded runs stay in lockstep,
-    including bounds that cut a bucket (and an instant) in half."""
+    """Runs to random ``until`` bounds stay in lockstep, including bounds
+    that cut a bucket in half and fractional ones."""
     dw = _Driver(Engine(), seed)
     dh = _Driver(HeapqEngine(), seed)
     dw.seed_work(100)
     dh.seed_work(100)
     rng = random.Random(seed ^ 0xBEEF)
     for _ in range(60):
-        if rng.random() < 0.5:
-            bound = dw.eng.now + rng.randrange(1, 2 * 4096)
-            tw = dw.eng.run(until=bound)
-            th = dh.eng.run(until=bound)
-        else:
-            k = rng.randrange(1, 9)
-            tw = dw.eng.run(max_events=k)
-            th = dh.eng.run(max_events=k)
-        assert tw == th
+        bound = dw.eng.now + rng.randrange(1, 2 * 4096)
+        if rng.random() < 0.3:
+            bound += rng.random()
+        tw = dw.eng.run(until=bound)
+        th = dh.eng.run(until=bound)
+        assert tw == th == int(bound)
         assert dw.state() == dh.state()
         if not dw.eng.pending():
             break
@@ -181,7 +180,7 @@ def test_fuzz_cancellation_mid_bucket():
 def test_far_future_overflow_and_migration():
     eng = Engine()
     seen = []
-    eng.schedule_at(5 * HORIZON_NS, seen.append, "far")
+    eng.schedule(5 * HORIZON_NS, seen.append, "far")
     assert eng._over  # beyond the window: waits in the overflow heap
     eng.post(10, seen.append, "near")
     eng.run()
@@ -221,12 +220,19 @@ def test_same_instant_fifo_chains():
 
 def test_nowq_survives_between_runs():
     """A post_soon issued outside run() merges by (time, seq) with older
-    wheel entries at the same time."""
+    wheel entries at the same time (here: the tie left queued by a
+    callback that raised mid-instant)."""
     eng = Engine()
     seen = []
-    eng.post(50, seen.append, "a")
+
+    def boom():
+        seen.append("a")
+        raise RuntimeError("boom")
+
+    eng.post(50, boom)
     eng.post(50, seen.append, "b")
-    eng.run(max_events=1)
+    with pytest.raises(RuntimeError):
+        eng.run()
     assert seen == ["a"] and eng.now == 50
     eng.post_soon(seen.append, "c")  # seq > b's: must fire after b
     eng.run()
@@ -267,18 +273,6 @@ def test_enqueue_mid_drain_keeps_heap_order():
     eng.run()
     assert seen == sorted(times + rearmed)
     assert eng.pending() == 0
-
-
-def test_max_events_stops_mid_instant():
-    eng = Engine()
-    seen = []
-    eng.post(10, seen.append, 1)
-    eng.post(10, seen.append, 2)
-    eng.post(10, seen.append, 3)
-    eng.run(max_events=2)
-    assert seen == [1, 2]
-    eng.run()
-    assert seen == [1, 2, 3]
 
 
 def test_exception_keeps_remainder_queued_wheel():

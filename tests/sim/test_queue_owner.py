@@ -3,9 +3,9 @@
 The engine's queue layout (entry tuples, the ``seq``/``live`` counters,
 the same-instant FIFO, the live bucket, the wheel and its overflow heap)
 is a decision of ``sim/engine.py`` alone.  Every other module posts
-through the public API (``post``/``post_at``/``post_soon``/``schedule``/
-``call_soon``) and relies only on the ``(time, seq)`` firing order that
-the wheel fuzz checks against the test-only reference engine.  The one
+through the public API (``post``/``post_at``/``post_soon``/``schedule``)
+and relies only on the ``(time, seq)`` firing order that the wheel fuzz
+checks against the test-only reference engine.  The one
 exception is ``core/leap.py``, which replays the slow path's seq
 allocation and re-arms its carriers at explicit seqs.
 

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.core.queues import TaskQueue
-from repro.core.variants import LockFreeTaskQueue
 from repro.nmad.requests import PacketWrapper, PwKind
 from repro.net.driver import IB_CONNECTX
 from repro.net.fabric import Fabric
@@ -13,12 +11,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import Rng
 from repro.topology import CpuSet, kwak, nehalem_ex_64
 from repro.topology.cpuset import EMPTY
-
-
-def test_engine_run_until_idle_alias():
-    eng = Engine()
-    eng.schedule(5, lambda: None)
-    assert eng.run_until_idle() == 5
 
 
 def test_cpuset_empty_export():
@@ -33,14 +25,6 @@ def test_machine_describe_kwak():
 def test_machine_describe_64core():
     text = nehalem_ex_64().describe()
     assert "core#63" in text
-
-
-def test_cluster_flat_and_custom_queue_factory():
-    cl = Cluster(2, hierarchical=False, queue_factory=LockFreeTaskQueue)
-    for node in cl.nodes:
-        queues = node.pioman.hierarchy.queues()
-        assert len(queues) == 1
-        assert isinstance(queues[0], LockFreeTaskQueue)
 
 
 def test_wire_jitter_is_deterministic_per_seed():

@@ -90,22 +90,3 @@ def test_hook_injection_rate_limited():
     injections = sched.keypoint_count(Keypoint.CTX_SWITCH)
     assert switches >= 6
     assert 0 < injections < switches
-
-
-def test_ctx_hook_can_be_disabled():
-    m = borderline()
-    eng = Engine()
-    sched = Scheduler(m, eng, rng=Rng(2), enable_ctx_hook=False)
-    pio = PIOMan(m, eng, sched)
-
-    def a(ctx):
-        from repro.threads.instructions import YieldCPU
-
-        for _ in range(4):
-            yield Compute(100)
-            yield YieldCPU()
-
-    sched.spawn(a, 0)
-    sched.spawn(a, 0)
-    eng.run()
-    assert sched.keypoint_count(Keypoint.CTX_SWITCH) == 0

@@ -1,0 +1,34 @@
+"""tools/make_experiments.py's command line, parsed without running the
+experiments: ``--jobs`` speaks the same dialect as every bench command."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+_spec = importlib.util.spec_from_file_location(
+    "make_experiments", os.path.join(ROOT, "tools", "make_experiments.py")
+)
+make_experiments = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_experiments)
+
+EVERY_CPU = os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("argv, jobs", [
+    ([], 1),
+    (["--jobs", "auto"], EVERY_CPU),
+    (["--jobs", "0"], EVERY_CPU),
+    (["--jobs", "3"], 3),
+])
+def test_jobs_takes_auto_zero_and_counts(argv, jobs):
+    assert make_experiments.parser().parse_args(argv).jobs == jobs
+
+
+def test_negative_jobs_fails_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        make_experiments.parser().parse_args(["--jobs", "-1"])
+    assert exc.value.code == 2
+    assert "argument --jobs: " in capsys.readouterr().err.splitlines()[-1]

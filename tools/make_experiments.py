@@ -19,7 +19,7 @@ import sys
 from repro.bench.paper_targets import targets_for
 from repro.bench.reporting import format_latency, format_microbench, format_overlap
 from repro.bench.bandwidth import format_bandwidth
-from repro.par import JobSpec, run_jobs_strict
+from repro.par import JobSpec, resolve_jobs, run_jobs_strict
 
 OUT = "EXPERIMENTS.md"
 
@@ -77,15 +77,19 @@ SPECS = [
 ]
 
 
-def main(argv: list[str] | None = None) -> None:
+def parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         description="Regenerate EXPERIMENTS.md (paper vs. measured)."
     )
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
+    ap.add_argument("--jobs", type=resolve_jobs, default=1, metavar="N",
                     help="fan the independent computations out over N "
-                    "worker processes (default 1 = serial; output is "
-                    "bit-identical either way)")
-    args = ap.parse_args(argv)
+                    "worker processes ('auto' or 0 = every CPU; default 1 "
+                    "= serial; output is bit-identical either way)")
+    return ap
+
+
+def main(argv: list[str] | None = None) -> None:
+    args = parser().parse_args(argv)
 
     res = dict(
         zip([s.name for s in SPECS], run_jobs_strict(SPECS, jobs=args.jobs))
