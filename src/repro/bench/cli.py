@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Optional, Sequence
@@ -68,6 +69,19 @@ def positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"{n} is not a positive count")
     return n
+
+
+def positive_seconds(text: str) -> float:
+    """argparse ``type=`` of every timeout flag: a limit that is not a
+    positive finite number of seconds fails at parse time (exit 2,
+    naming the flag), before any set-up."""
+    try:
+        s = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(s) and s > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite time")
+    return s
 
 
 def positive_ints(text: str) -> list[int]:
@@ -289,7 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "results are bit-identical either way)",
     )
     ap.add_argument(
-        "--job-timeout", type=float, default=None, metavar="S",
+        "--job-timeout", type=positive_seconds, default=None, metavar="S",
         help="per-target wall-clock limit in seconds when using --jobs",
     )
     ap.add_argument(

@@ -180,7 +180,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     """The ``cluster-scale`` subcommand (called from :mod:`repro.bench.cli`)."""
     import argparse
 
-    from repro.bench.cli import out_path, positive_int, positive_ints
+    from repro.bench.cli import out_path, positive_int, positive_ints, positive_seconds
 
     ap = argparse.ArgumentParser(
         prog="repro-bench cluster-scale",
@@ -205,7 +205,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "without forking; no speedup by construction)")
     ap.add_argument("--machine", default="smp1x2",
                     help="per-node machine (default smp1x2)")
-    ap.add_argument("--timeout", type=float, default=1800.0, metavar="S",
+    ap.add_argument("--timeout", type=positive_seconds, default=1800.0, metavar="S",
                     help="per-window reply timeout per forked shard "
                     "(default 1800)")
     args = ap.parse_args(argv)

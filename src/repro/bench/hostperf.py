@@ -36,7 +36,7 @@ The matrix spans the simulator's distinct paths:
   identical.
 
 Every scenario carries its own seed in its :class:`repro.par.JobSpec`,
-so ``--jobs N`` and ``REPRO_LEAP=0`` must reproduce the record exactly.
+so ``--jobs N`` must reproduce the record exactly.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _idle_spin_scenario(
     gap_us: int,
     seed: int,
     fastpath: bool = True,
-    leap: Optional[bool] = None,
+    leap: bool = True,
 ) -> ScenarioResult:
     """Idle-heavy spin-polling on a deep chiplet machine (24 cores).
 
@@ -238,11 +238,10 @@ def _idle_spin_scenario(
     ``fastpath=False`` the same simulation runs with the summary disabled,
     and its fingerprint (minus ``summary_hits``) must match exactly.
 
-    ``leap`` pins the quiescence leap (:mod:`repro.core.leap`) on or off
-    regardless of the process default; the leap_on/leap_off pair uses it
-    to run the same simulation both ways, and their fingerprints must be
-    **fully** identical — the leap replays every counter, including
-    ``summary_hits``.
+    ``leap`` turns the quiescence leap (:mod:`repro.core.leap`) on or
+    off; the leap_on/leap_off pair uses it to run the same simulation
+    both ways, and their fingerprints must be **fully** identical — the
+    leap replays every counter, including ``summary_hits``.
     """
     from repro.core.manager import PIOMan
     from repro.core.task import LTask
@@ -257,8 +256,9 @@ def _idle_spin_scenario(
     machine = ccx_machine()
     engine = Engine()
     sched = Scheduler(machine, engine, rng=Rng(seed), true_spin=True)
-    kwargs = {} if leap is None else {"quiescence_leap": leap}
-    pioman = PIOMan(machine, engine, sched, summary_fastpath=fastpath, **kwargs)
+    pioman = PIOMan(
+        machine, engine, sched, summary_fastpath=fastpath, quiescence_leap=leap
+    )
     ncores = machine.ncores
 
     def driver(ctx):
@@ -551,7 +551,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     import argparse
     import os
 
-    from repro.bench.cli import out_path
+    from repro.bench.cli import out_path, positive_seconds
     from repro.par import resolve_jobs
 
     ap = argparse.ArgumentParser(
@@ -567,7 +567,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="run the scenarios over N worker processes "
                     "('auto' or 0 = every CPU; default 1 = serial; the "
                     "fingerprints are identical either way)")
-    ap.add_argument("--job-timeout", type=float, default=None, metavar="S",
+    ap.add_argument("--job-timeout", type=positive_seconds, default=None, metavar="S",
                     help="per-scenario wall-clock limit in seconds when "
                     "using --jobs")
     ap.add_argument("--check", metavar="PATH", default=None,

@@ -45,19 +45,19 @@ path.
 When it is tried: the engine's run loop consults the leap at the first
 clock advance strictly past ``next_try``, the external event that
 bounded (or blocked) the previous attempt, so each quiet gap between
-external events gets an attempt as soon as it opens.  A span under two
-poll cycles is refused before the micro-merge, which is the expensive
-part of an attempt.
+external events gets an attempt as soon as it opens.  An attempt that
+computes no bound retries past the end of the 4096 ns window that holds
+the next event.  A span under two poll cycles is refused before the
+micro-merge, which is the expensive part of an attempt.
 
 Enablement: on by default when a :class:`~repro.core.manager.PIOMan`
 with the summary fast path attaches to a ``true_spin`` scheduler;
-``REPRO_LEAP=0`` in the environment or
-``PIOMan(..., quiescence_leap=False)`` opts a process / an instance out.
+``PIOMan(..., quiescence_leap=False)`` opts an instance out (the
+leap-off oracle of the identity tests).
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
@@ -71,9 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
     from repro.threads.scheduler import Scheduler
 
-#: process-wide default, overridable per run without touching call
-#: sites: ``REPRO_LEAP=0 python -m repro.bench perf ...``
-DEFAULT_LEAP = os.environ.get("REPRO_LEAP", "1") != "0"
+#: a declined attempt is retried at the first clock advance past the
+#: 4096 ns window (``t | _RETRY_WINDOW``) that holds the next event
+_RETRY_WINDOW = 4095
 
 #: micro-merge event kinds, in per-cycle firing order (values are only
 #: compared for heap tie-breaks that cannot happen — seq is unique)
@@ -123,12 +123,12 @@ class QuiescenceLeap:
         could have produced; False means "nothing provably inert enough".
         Sets ``next_try`` to the leap's bound whenever one is computed
         (nothing can make the world quieter before that event fires),
-        else to the end of the wheel bucket being drained.
+        else to the end of the 4096 ns window that holds the next event.
         """
         sched = self.sched
         manager = self.manager
         engine = self.engine
-        self.next_try = engine._aend
+        self.next_try = engine.peek_time() | _RETRY_WINDOW
         if (
             sched.tracer.enabled
             or manager.tracer.enabled

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.hierarchy import QueueFactory, QueueHierarchy
-from repro.core.leap import DEFAULT_LEAP, QuiescenceLeap
+from repro.core.leap import QuiescenceLeap
 from repro.core.queues import TaskQueue
 from repro.core.task import LTask, TaskState
 from repro.obs.histogram import Histogram
@@ -97,7 +97,7 @@ class PIOMan:
         name: str = "pioman",
         registry: Optional["MetricsRegistry"] = None,
         summary_fastpath: bool = True,
-        quiescence_leap: Optional[bool] = None,
+        quiescence_leap: bool = True,
     ) -> None:
         self.machine = machine
         self.engine = engine
@@ -177,14 +177,12 @@ class PIOMan:
             for queue in self.hierarchy.queues():
                 queue.register_into(registry, prefix=name)
         # Quiescence leap (repro.core.leap): opt-out via the
-        # ``quiescence_leap`` argument or ``REPRO_LEAP=0``; requires the
+        # ``quiescence_leap`` argument (the leap-off oracle); requires the
         # summary fast path (the leap replays its accounting) and a
         # true_spin scheduler (the only world with provably periodic
         # idle carriers).  One controller per engine: the first eligible
         # manager installs it.
-        self.quiescence_leap = (
-            DEFAULT_LEAP if quiescence_leap is None else bool(quiescence_leap)
-        )
+        self.quiescence_leap = quiescence_leap
         if scheduler is not None:
             scheduler.progression_hook = self.schedule_once
             if self.summary_fastpath:

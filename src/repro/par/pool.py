@@ -22,6 +22,7 @@ Design choices, in order of importance:
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -39,6 +40,16 @@ _CRASH_RETRIES = 1
 def has_fork() -> bool:
     """Whether this platform supports the ``fork`` start method."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def check_timeout(timeout_s: Optional[float]) -> None:
+    """Refuse a wall-clock limit that means nothing: ``None`` is no
+    limit, anything else must be a positive finite number of seconds
+    (``nan`` would expire at once, ``inf`` overflows the wait)."""
+    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise ValueError(
+            f"timeout_s must be positive finite seconds or None, got {timeout_s!r}"
+        )
 
 
 def resolve_jobs(jobs) -> int:
@@ -150,6 +161,7 @@ def run_jobs(
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate job names: {names}")
+    check_timeout(timeout_s)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(specs) <= 1 or not has_fork():
         return _run_serial(specs)

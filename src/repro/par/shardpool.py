@@ -43,7 +43,7 @@ import traceback
 from typing import Any, Optional, Sequence
 
 from repro.par.jobs import JobSpec
-from repro.par.pool import has_fork
+from repro.par.pool import check_timeout, has_fork
 
 #: wire tokens: parent -> worker requests, worker -> parent replies
 _CALL, _STOP = "call", "stop"
@@ -137,6 +137,7 @@ class ShardPool:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names: {names}")
+        check_timeout(timeout_s)
         self.specs = list(specs)
         self.n = len(specs)
         self.timeout_s = timeout_s

@@ -2,9 +2,10 @@
 
 Every other subsystem (topology-aware memory model, spinlocks, the thread
 scheduler, NICs, PIOMan itself) runs on top of this engine.  The engine
-maintains a virtual clock in **nanoseconds** and a timer wheel of pending
-events.  Runs are fully deterministic: ties on the timestamp are broken by
-a monotonically increasing sequence number, and randomness comes from
+maintains a virtual clock in **nanoseconds** and a queue of pending
+events: a same-instant FIFO over one binary heap.  Runs are fully
+deterministic: ties on the timestamp are broken by a monotonically
+increasing sequence number, and randomness comes from
 seeded :class:`Rng` streams, one per entity (a wire rail, a node's
 scheduler, a node's fault types), each derived from the run's seed with
 :meth:`Rng.fork` or :func:`repro.par.derive_seed` — so an entity draws

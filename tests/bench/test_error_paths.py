@@ -90,10 +90,22 @@ def test_output_path_in_missing_directory_fails_before_running(argv, tmp_path, c
     ["cluster-scale", "--shards", "0"],
     ["cluster-scale", "--shards", "x"],
     ["cluster-scale", "--nodes", "1"],
+    # timeouts: positive finite seconds (the other flags keep a parent
+    # that accepted the value quick and free of written files)
+    *[
+        [*pre, flag, bad]
+        for pre, flag in [
+            (["table1", "--reps", "1"], "--job-timeout"),
+            (["perf", "--check", "BENCH_host_perf.json"], "--job-timeout"),
+            (["cluster-scale", "--nodes", "2", "--requests", "1", "--shards", "1",
+              "--out", "-"], "--timeout"),
+        ]
+        for bad in ["nan", "inf", "0", "-1"]
+    ],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_bad_count_fails_before_running(argv, capsys):
-    """Every count flag checks its value at parse time: exit 2 with one
-    error line naming the flag, and nothing simulated."""
+    """Every count and timeout flag checks its value at parse time: exit
+    2 with one error line naming the flag, and nothing simulated."""
     from repro.bench.cli import main as bench_main
 
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ bit.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -46,7 +47,7 @@ def _run(
     ``engine.run(until=duration)`` (bounded runs in several calls).
     ``replayed`` counts the events the leap replayed instead of firing:
     the engine's ``fired`` delta across successful attempts.  Each
-    successful attempt must leave the draining bucket a valid heap."""
+    successful attempt must leave the engine's queue a valid heap."""
     duration = duration_us * 1_000
     machine = MACHINES[machine_name]()
     engine = Engine()
@@ -88,8 +89,8 @@ def _run(
         ok = attempt(leap, hi)
         if ok:
             replayed += leap.engine.fired - fired0
-            # carriers re-armed into the draining bucket kept its heap order
-            b = leap.engine._abuc
+            # carriers re-armed at explicit seqs kept the queue's heap order
+            b = leap.engine._q
             assert all(b[(i - 1) // 2] <= b[i] for i in range(1, len(b)))
         return ok
 
@@ -158,8 +159,8 @@ def test_leap_identity_fuzz():
             machine_name=rng.choice(["ccx24", "borderline", "kwak"]),
             seed=rng.randrange(1_000_000),
             duration_us=rng.choice([200, 350, 500]),
-            # sub-bucket gaps: leaps that start and end inside one
-            # 4096 ns wheel bucket
+            # sub-window gaps: leaps that start and end inside one
+            # 4096 ns retry window
             gaps_us=rng.choice([(25,), (40,), (15, 60), (10, 30, 80), (2,), (3, 7)]),
             plan=rng.choice(_PLANS),
         )
@@ -183,9 +184,9 @@ def test_leap_identity_ccx24():
     assert on["leaps"] > 0
 
 
-def _mid_bucket_bounds(engine, duration):
-    """``run(until=...)`` in steps that never land on a 4096 ns bucket
-    edge, so consults and leaps meet the bound inside a bucket."""
+def _mid_window_bounds(engine, duration):
+    """``run(until=...)`` in steps that never land on a 4096 ns window
+    edge, so consults and leaps meet the bound inside a retry window."""
     t = 0
     while t < duration:
         t = min(t + 9_973, duration)
@@ -194,10 +195,10 @@ def _mid_bucket_bounds(engine, duration):
 
 @pytest.mark.parametrize("gaps_us", [(2,), (3, 7), (25,)])
 def test_leap_identity_mid_bucket_bounds(gaps_us):
-    """Bounded runs whose ``until`` falls mid-bucket: the leap stops at
+    """Bounded runs whose ``until`` falls mid-window: the leap stops at
     ``until + 1`` and resumes in the next call, identical to leap-off."""
-    on = _run(leap=True, duration_us=300, gaps_us=gaps_us, drive=_mid_bucket_bounds)
-    off = _run(leap=False, duration_us=300, gaps_us=gaps_us, drive=_mid_bucket_bounds)
+    on = _run(leap=True, duration_us=300, gaps_us=gaps_us, drive=_mid_window_bounds)
+    off = _run(leap=False, duration_us=300, gaps_us=gaps_us, drive=_mid_window_bounds)
     _assert_identical(on, off)
     assert on["leaps"] > 0
     # the bounds leave the world as one unbounded-to-duration run would
@@ -224,30 +225,58 @@ def test_tracer_enabled_falls_back_to_slow_path():
     _assert_identical(on, off)
 
 
+def test_consults_once_per_window_with_a_clock_advance(monkeypatch):
+    """The consult rule: the run loop consults the leap at the first
+    clock advance past ``next_try``, and a declined attempt retries no
+    earlier than the end of the 4096 ns window that holds the event it
+    was consulted for.  With the tracer on every attempt declines, so
+    there is exactly one consult per window in which the clock advances,
+    made at that window's first advance.
+
+    Clock advances are observed apart from the leap: a profile hook
+    reads the clock at every call the run loop makes (each callback it
+    fires, and its own helpers, which only see values already reached).
+    """
+    consults = []  # (clock before the advance, advance target)
+    attempt = QuiescenceLeap.attempt
+
+    def consult(leap, hi):
+        consults.append((leap.engine.now, leap.engine.peek_time()))
+        return attempt(leap, hi)
+
+    monkeypatch.setattr(QuiescenceLeap, "attempt", consult)
+    run_code = Engine.run.__code__
+    seen = set()
+
+    def drive(engine, duration):
+        def hook(frame, event, _arg):
+            caller = frame if event == "c_call" else frame.f_back
+            if caller is not None and caller.f_code is run_code:
+                seen.add(engine.now)
+
+        sys.setprofile(hook)
+        try:
+            engine.run(until=duration)
+        finally:
+            sys.setprofile(None)
+
+    out = _run(leap=True, tracer=Tracer(enabled=True), duration_us=80,
+               gaps_us=(12,), drive=drive)
+    assert out["leaps"] == 0
+    first = {}  # window -> its first advance
+    for t in sorted(seen - {0}):
+        first.setdefault(t >> 12, t)
+    assert [t for _now, t in consults] == sorted(first.values())
+    assert all(now < t for now, t in consults)
+    assert len(consults) == 20  # every window of the 80 us run
+
+
 def test_constructor_opt_out_installs_no_controller():
     machine = MACHINES["ccx24"]()
     engine = Engine()
     sched = Scheduler(machine, engine, rng=Rng(3), true_spin=True)
     PIOMan(machine, engine, sched, quiescence_leap=False)
     assert engine.leap is None
-
-
-def test_env_opt_out_controls_default(monkeypatch):
-    """REPRO_LEAP=0 flips the import-time default off."""
-    import importlib
-
-    import repro.core.leap as leapmod
-
-    monkeypatch.setenv("REPRO_LEAP", "0")
-    try:
-        importlib.reload(leapmod)
-        assert leapmod.DEFAULT_LEAP is False
-        monkeypatch.setenv("REPRO_LEAP", "1")
-        importlib.reload(leapmod)
-        assert leapmod.DEFAULT_LEAP is True
-    finally:
-        monkeypatch.delenv("REPRO_LEAP", raising=False)
-        importlib.reload(leapmod)
 
 
 def test_leap_actually_elides_events():

@@ -138,6 +138,15 @@ def test_single_spec_runs_in_process():
     assert result.ok and result.value == 5 and not result.parallel
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -1])
+def test_meaningless_timeout_is_refused(bad):
+    """A limit that is not positive finite seconds raises up front: nan
+    would time every job out at once, inf overflows the wait, and 0 or
+    a negative limit expire before any job could finish."""
+    with pytest.raises(ValueError, match="timeout_s"):
+        run_jobs(_echo_specs(2), jobs=2, timeout_s=bad)
+
+
 # ----------------------------------------------------------------------
 # failure paths
 # ----------------------------------------------------------------------

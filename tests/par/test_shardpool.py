@@ -161,6 +161,17 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="duplicate"):
             ShardPool(counter_specs(1) * 2, serial=True)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0, -1])
+    def test_rejects_meaningless_timeouts(self, bad):
+        """nan and inf would silently mean no limit, 0 and -1 a failed
+        first build: all raise before any worker is forked."""
+        with pytest.raises(ValueError, match="timeout_s"):
+            ShardPool(counter_specs(2), timeout_s=bad)
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-shard-")
+        ]
+
     def test_closed_pool_refuses_calls(self, mode):
         pool = ShardPool(counter_specs(1), serial=mode)
         pool.close()

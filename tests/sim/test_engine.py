@@ -96,7 +96,7 @@ def test_run_until_before_now_is_refused(make):
 @pytest.mark.parametrize("make", [Engine, HeapqEngine], ids=["wheel", "reference"])
 def test_fractional_until_stops_the_clock_at_a_whole_ns(make):
     """Times are whole ns: a fractional bound fires the events at or
-    before it and leaves ``now == floor(until)``, an int the wheel can
+    before it and leaves ``now == floor(until)``, an int the engine can
     keep inserting at.  A non-finite bound raises, naming it, and runs
     nothing."""
     eng = make()

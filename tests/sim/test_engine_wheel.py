@@ -1,26 +1,27 @@
-"""Timer-wheel equivalence and unit tests.
+"""Event-order equivalence and unit tests.
 
-The wheel must realize the exact ``(time, seq)`` total order that a
+The engine must realize the exact ``(time, seq)`` total order that a
 plain binary heap defines: the randomized fuzz drives the engine and the
 test-only :class:`~tests.sim.refengine.HeapqEngine` with identical
 workloads — every insert call, same-tick ties, cancellable handles at
-delay 0 and far beyond the wheel horizon, cancellation mid-bucket — and
-asserts identical fire order, ``now``, ``fired`` and ``pending()`` after
-every instant and every ``until`` bound.  The unit tests pin down the
-wheel machinery: window slides, overflow migration, the same-instant
-FIFO, bounded runs cutting a bucket in half, and mid-drain re-queues
-into the live bucket.
+delay 0 and far in the future, cancellation mid-drain — and asserts
+identical fire order, ``now``, ``fired`` and ``pending()`` after every
+instant and every ``until`` bound.  The unit tests pin down the
+behaviours the order rests on: far-future and sparse timelines, the
+same-instant FIFO (within a run, between runs and across a raise),
+bounded runs, and re-queues at explicit seqs while a run drains.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import WHEEL_SHIFT, WHEEL_SLOTS, Engine
+from repro.sim.engine import Engine
 
 from .refengine import HeapqEngine
 
-HORIZON_NS = WHEEL_SLOTS << WHEEL_SHIFT
+#: ~1 ms: far-future timers (retransmit timeouts, timer quanta)
+FAR_NS = 1 << 20
 
 
 def test_engine_has_no_core_selector():
@@ -50,7 +51,7 @@ class _Driver:
     def _fire(self, tag):
         self.log.append((tag, self.eng.now))
         # nested activity from inside callbacks: the hard case for
-        # same-instant ordering and active-bucket inserts
+        # same-instant ordering and inserts that interleave with the drain
         r = self.rng.random()
         if r < 0.25:
             self._submit()
@@ -74,9 +75,9 @@ class _Driver:
         elif kind == 4:
             self.handles[tag] = eng.schedule(0, self._fire, tag)
         else:
-            # far-future: overflow heap, migrates in on window slides
+            # far-future: behind everything else queued
             self.handles[tag] = eng.schedule(
-                rng.randrange(HORIZON_NS, 3 * HORIZON_NS), self._fire, tag
+                rng.randrange(FAR_NS, 3 * FAR_NS), self._fire, tag
             )
 
     def _cancel_one(self):
@@ -126,7 +127,7 @@ def test_fuzz_equivalence_stepwise(seed):
 @pytest.mark.parametrize("seed", [5, 23, 555])
 def test_fuzz_equivalence_bounded_runs(seed):
     """Runs to random ``until`` bounds stay in lockstep, including bounds
-    that cut a bucket in half and fractional ones."""
+    that fall between two queued events and fractional ones."""
     dw = _Driver(Engine(), seed)
     dh = _Driver(HeapqEngine(), seed)
     dw.seed_work(100)
@@ -148,8 +149,8 @@ def test_fuzz_equivalence_bounded_runs(seed):
 
 
 def test_fuzz_cancellation_mid_bucket():
-    """Cancel handles whose bucket is mid-drain: dead entries must be
-    skipped identically by both engines."""
+    """Cancel queued handles mid-drain: dead entries must be skipped
+    identically by both engines."""
     for seed in (11, 13):
         states = []
         for eng in (Engine(), HeapqEngine()):
@@ -158,7 +159,7 @@ def test_fuzz_cancellation_mid_bucket():
 
             def cb(tag, _log=log, _eng=eng, _handles=handles):
                 _log.append((tag, _eng.now))
-                # cancel a later tie / same-bucket neighbour mid-drain
+                # cancel a later tie / near neighbour mid-drain
                 if _handles:
                     _handles.pop().cancel()
 
@@ -175,25 +176,24 @@ def test_fuzz_cancellation_mid_bucket():
 
 
 # ---------------------------------------------------------------------------
-# wheel units
+# engine units
 # ---------------------------------------------------------------------------
 def test_far_future_overflow_and_migration():
+    """A far-future timer queued first still fires after a near post."""
     eng = Engine()
     seen = []
-    eng.schedule(5 * HORIZON_NS, seen.append, "far")
-    assert eng._over  # beyond the window: waits in the overflow heap
+    eng.schedule(5 * FAR_NS, seen.append, "far")
     eng.post(10, seen.append, "near")
     eng.run()
     assert seen == ["near", "far"]
-    assert not eng._over
-    assert eng.now == 5 * HORIZON_NS
+    assert eng.now == 5 * FAR_NS
 
 
 def test_window_slides_across_many_buckets():
     eng = Engine()
     seen = []
-    # one event per ~bucket across 4x the horizon: forces slides + jumps
-    times = [i * 4096 + 17 for i in range(4 * WHEEL_SLOTS) if i % 3 == 0]
+    # sparse events, ~12 us apart over ~4 ms, in time order
+    times = [i * 4096 + 17 for i in range(1024) if i % 3 == 0]
     for t in times:
         eng.post_at(t, seen.append, t)
     eng.run()
@@ -220,7 +220,7 @@ def test_same_instant_fifo_chains():
 
 def test_nowq_survives_between_runs():
     """A post_soon issued outside run() merges by (time, seq) with older
-    wheel entries at the same time (here: the tie left queued by a
+    heap entries at the same time (here: the tie left queued by a
     callback that raised mid-instant)."""
     eng = Engine()
     seen = []
@@ -252,15 +252,15 @@ def test_until_cuts_bucket_in_half():
 
 
 def test_enqueue_mid_drain_keeps_heap_order():
-    """``_enqueue`` (the quiescence leap's carrier re-arm) while a bucket
-    drains: entries landing in the live bucket merge by (time, seq) — a
-    bare append there would break the bucket's heap order."""
+    """``_enqueue`` (the quiescence leap's carrier re-arm) while a run
+    drains: entries at explicit seqs merge by (time, seq) with everything
+    already queued, before, between and after it."""
     eng = Engine()
     seen = []
     times = [300, 400, 500, 600, 700, 800, 900]
     for t in times:
         eng.post_at(t, seen.append, t)
-    rearmed = [350, 5_000, 250, HORIZON_NS + 9]
+    rearmed = [350, 5_000, 250, FAR_NS + 9]
 
     def rearm():
         for t in rearmed:
@@ -311,3 +311,25 @@ def test_exception_mid_instant_keeps_fifo_remainder():
     assert seen == ["x"]
     eng.run()
     assert seen == ["x", "y"]
+
+
+def test_peek_time_inside_a_fifo_callback_refires_nothing():
+    """``peek_time`` only reads the same-instant FIFO: called from a
+    callback the FIFO fired, it must not re-queue the instant's fired
+    entries (they would fire twice)."""
+    eng = Engine()
+    seen = []
+
+    def a():
+        seen.append("a")
+        assert eng.peek_time() == 5
+
+    def kick():
+        eng.post_soon(a)
+        eng.post_soon(seen.append, "b")
+
+    eng.post(5, kick)
+    eng.post(9, seen.append, "c")
+    eng.run()
+    assert seen == ["a", "b", "c"]
+    assert eng.fired == 4 and eng.pending() == 0

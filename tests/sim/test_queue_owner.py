@@ -1,11 +1,11 @@
 """One owner for the event queue.
 
 The engine's queue layout (entry tuples, the ``seq``/``live`` counters,
-the same-instant FIFO, the live bucket, the wheel and its overflow heap)
-is a decision of ``sim/engine.py`` alone.  Every other module posts
-through the public API (``post``/``post_at``/``post_soon``/``schedule``)
-and relies only on the ``(time, seq)`` firing order that the wheel fuzz
-checks against the test-only reference engine.  The one
+the same-instant FIFO and the heap behind it) is a decision of
+``sim/engine.py`` alone.  Every other module posts through the public
+API (``post``/``post_at``/``post_soon``/``schedule``) and relies only on
+the ``(time, seq)`` firing order that the engine fuzz checks against the
+test-only reference engine.  The one
 exception is ``core/leap.py``, which replays the slow path's seq
 allocation and re-arms its carriers at explicit seqs.
 
@@ -20,10 +20,7 @@ import repro
 
 SRC = os.path.dirname(repro.__file__)
 #: engine-private queue state
-PRIVATE = {
-    "_seq", "_live", "_nowq", "_abuc", "_aend", "_insert", "_enqueue",
-    "_slots", "_bidx", "_over",
-}
+PRIVATE = {"_seq", "_live", "_nowq", "_q", "_enqueue"}
 #: the queue's owner, and the leap (until it is deleted)
 ALLOWED = {os.path.join("sim", "engine.py"), os.path.join("core", "leap.py")}
 
