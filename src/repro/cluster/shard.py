@@ -43,7 +43,13 @@ of the shards' metric snapshots and the multiset of their trace records
 are **bit-identical** to the single-process run at any shard count and
 under any ownership — ``run_sharded(..., nshards=1)`` is the
 single-process reference, and the test suite and CI gate compare
-fingerprints across shard counts.
+fingerprints across shard counts.  One exception is known: frames sent
+in the same nanosecond by nodes on different shards that reach one node
+at the same instant.  One process delivers them in the order the two
+sends interleaved, which no shard sees; the coordinator injects them by
+sending node (:func:`_inbox`), which matches when the senders run in
+node order and cannot when one frame is local to the receiving shard
+(docs/SCALING.md, "Identity, not just determinism").
 
 Blocked actors: a shard whose queue drains while threads wait on
 cross-shard receives is *not* deadlocked — the wake-up frame is in
@@ -62,6 +68,7 @@ serial reproducer.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import resource
@@ -387,12 +394,14 @@ def run_sharded(
                     shard=exc.shard,
                 ) from (exc.__cause__ or exc)
             windows += 1
-            inboxes = [[] for _ in range(nshards)]
+            # sent[d][s]: the frames shard s sent to shard d's nodes
+            sent: list[list[list]] = [[[] for _ in replies] for _ in range(nshards)]
             next_times = []
-            for outbox, next_t, _now, _fired in replies:
+            for src, (outbox, next_t, _now, _fired) in enumerate(replies):
                 next_times.append(next_t)
                 for entry in outbox:
-                    inboxes[owner[entry[1]]].append(tuple(entry))
+                    sent[owner[entry[1]]][src].append(tuple(entry))
+            inboxes = [_inbox(froms) for froms in sent]
             if final:
                 break
         wait_s = pool.reply_wait_s - wait0
@@ -432,6 +441,34 @@ def run_sharded(
         shard_compute_s=[final["compute_s"] for final in finals],
         coordinator_wait_s=wait_s,
     )
+
+
+def _inbox(froms: Sequence[list]) -> list:
+    """A shard's inbox, from the frames each shard sent it, in the order
+    one process would post their deliveries: that is the frames' seq
+    order, which decides between equal arrival times.
+
+    One process posts a delivery the instant its frame is sent, so ties
+    go in send order.  Each source shard lists its frames in its own
+    send order, which a stable sort by ``(arrival, send time)`` keeps.
+    Frames sent in the same nanosecond by nodes on different shards are
+    merged by sending node, the order in which one process runs nodes
+    built alike; when the single-process order is another, or when one
+    of the frames is local to the receiving shard, the sharded run can
+    differ (docs/SCALING.md).
+    """
+    runs = [sorted(frames, key=_arrival) for frames in froms if frames]
+    if len(runs) < 2:
+        return runs[0] if runs else []
+    return list(heapq.merge(*runs, key=_arrival_by_node))
+
+
+def _arrival(entry: tuple) -> tuple[int, int]:
+    return entry[0], entry[4].sent_at
+
+
+def _arrival_by_node(entry: tuple) -> tuple[int, int, int]:
+    return entry[0], entry[4].sent_at, entry[4].src_node
 
 
 def _owner_map(reports: Sequence[tuple]) -> dict[int, int]:

@@ -89,6 +89,11 @@ class TaskQueue:
         self.lock = SpinLock(
             machine, engine, home=home, name=f"lock:{self.name}", stats=lock_stats, mem_stats=mem_stats
         )
+        # The lock section's two instructions, built once: instructions
+        # are read-only values to the interpreter, and every enqueue and
+        # dequeue yields them.
+        self._acquire: Instr = Acquire(self.lock)
+        self._release: Instr = Release(self.lock)
         #: cache line holding the emptiness word / list head
         self.state_line = CacheLine(machine, home=home, name=f"state:{self.name}", stats=mem_stats)
         self._tasks: deque[LTask] = deque()
@@ -174,12 +179,6 @@ class TaskQueue:
             board.primed_mask &= self._keep_primed
 
     # ------------------------------------------------------------------
-    def _acquire(self) -> Instr:
-        return Acquire(self.lock)
-
-    def _release(self) -> Instr:
-        return Release(self.lock)
-
     def __len__(self) -> int:
         return len(self._tasks)
 
@@ -233,7 +232,7 @@ class TaskQueue:
 
     def enqueue(self, core: int, task: LTask) -> Generator[Instr, Any, None]:
         """Append a task under the queue lock (thread-context generator)."""
-        yield self._acquire()
+        yield self._acquire
         cost = self.state_line.write_async(core)
         self._note_state_write()
         yield Compute(cost)
@@ -244,10 +243,10 @@ class TaskQueue:
             # summary bit for work that must not exist.  The line write
             # above already happened; that is just a spurious
             # invalidation, same as a lost dequeue race.
-            yield self._release()
+            yield self._release
             return
         self._append(core, task)
-        yield self._release()
+        yield self._release
 
     def enqueue_nowait(self, core: int, task: LTask) -> None:
         """Host-instant enqueue for task/interrupt context.
@@ -298,7 +297,7 @@ class TaskQueue:
         yield Compute(cost)
         if not nonempty:
             return None
-        yield self._acquire()
+        yield self._acquire
         self.stats.lock_sections += 1
         cost = self.state_line.read(core)
         task = self._pop_eligible(core)
@@ -311,7 +310,7 @@ class TaskQueue:
         elif not self._tasks:
             self.stats.lost_races += 1
         yield Compute(cost)
-        yield self._release()
+        yield self._release
         return task
 
     def _note_dequeued(self, core: int, task: LTask) -> None:
@@ -411,7 +410,7 @@ class AlwaysLockTaskQueue(TaskQueue):
     replayable_empty_scan = False
 
     def get_task(self, core: int) -> Generator[Instr, Any, Optional[LTask]]:
-        yield self._acquire()
+        yield self._acquire
         self.stats.lock_sections += 1
         cost = self.state_line.read(core)
         task = self._pop_eligible(core)
@@ -425,5 +424,5 @@ class AlwaysLockTaskQueue(TaskQueue):
         else:
             self.stats.empty_checks += 1
         yield Compute(cost)
-        yield self._release()
+        yield self._release
         return task

@@ -50,12 +50,8 @@ class MutexTaskQueue(TaskQueue):
             machine, engine, home=home, name=f"mutex:{self.name}",
             stats=self.lock.stats, mem_stats=mem_stats,
         )
-
-    def _acquire(self) -> Instr:
-        return MutexAcquire(self.mutex)
-
-    def _release(self) -> Instr:
-        return MutexRelease(self.mutex)
+        self._acquire = MutexAcquire(self.mutex)
+        self._release = MutexRelease(self.mutex)
 
 
 class LockFreeTaskQueue(TaskQueue):

@@ -27,6 +27,12 @@ in exact ``(time, seq)`` order.  The randomized fuzz in
 ``tests/sim/test_engine_wheel.py`` holds the engine to that order
 against a plain-``heapq`` reference engine that lives in the tests.
 
+:meth:`Engine.claim` lets a callback skip the queue for the events it
+would post last: when nothing queued can fire before them, the clock
+moves to their time, their seqs and firings are counted, and the
+caller runs them in place.  The order, the seqs and ``fired`` are those
+of the posted events; only the host work of queueing them is saved.
+
 A run ends at its ``until`` bound or when the queue drains; draining
 while a registered reporter still counts blocked actors raises
 :class:`DeadlockError` instead of silently returning.
@@ -35,6 +41,7 @@ while a registered reporter still counts blocked actors raises
 from __future__ import annotations
 
 import math
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -109,13 +116,14 @@ class Engine:
     ``(time, seq, None, event)`` for cancellable handles — in one of two
     tiers:
 
-    * ``time == now`` → ``_nowq``, a plain FIFO: these are the
-      same-instant events (``post_soon`` and zero-delay posts and
-      handles) and they fire *as a batch with no ordering work at all*.
-      This is sound because ``seq`` is globally monotonic and every
-      at-``now`` arrival during an instant lands here — so anything
-      already queued at this time has a smaller ``seq`` than every
-      FIFO entry, and the FIFO itself is in ``seq`` order by
+    * ``time == now`` → ``_nowq``, a FIFO: these are the same-instant
+      events (``post_soon`` and zero-delay posts and handles) and they
+      fire *with no ordering work at all*, each popped off the front
+      before it runs, so the FIFO holds exactly the instant's pending
+      entries.  This is sound because ``seq`` is globally monotonic and
+      every at-``now`` arrival during an instant lands here — so
+      anything already queued at this time has a smaller ``seq`` than
+      every FIFO entry, and the FIFO itself is in ``seq`` order by
       construction.
     * ``time > now`` → ``heappush`` onto ``_q``, which the run loop pops
       in ``(time, seq)`` order.
@@ -128,6 +136,9 @@ class Engine:
         self._running = False
         #: number of callbacks actually executed (dead events excluded)
         self.fired: int = 0
+        #: host diagnostic: how many of those ran in place through
+        #: :meth:`claim` instead of through the queue
+        self.claimed: int = 0
         #: callables that report the number of actors still blocked waiting
         #: for a simulation event; consulted on drain for deadlock detection.
         self.blocked_reporters: list[Callable[[], int]] = []
@@ -142,7 +153,11 @@ class Engine:
         #: FIFO of entries whose time equals ``now`` (drained before the
         #: clock advances; folded back into the heap if one survives
         #: past a run, e.g. a post_soon issued between runs)
-        self._nowq: list[tuple] = []
+        self._nowq: deque[tuple] = deque()
+        #: the running loop's ``lim`` (the earlier of the leap-consult
+        #: threshold and the ``until`` bound), -1 outside a run: the
+        #: latest time :meth:`claim` may move the clock to
+        self._lim: int = -1
 
     def pending(self) -> int:
         """Number of live events still queued (O(1))."""
@@ -242,6 +257,32 @@ class Engine:
         self._live += 1
         self._nowq.append((self.now, seq, fn, args))
 
+    def claim(self, t: int, n: int = 1) -> bool:
+        """True when the ``n`` events a callback is about to queue at
+        time ``t``, as the last thing it does, are provably the next
+        ``n`` to fire, so that it may run them in place.
+
+        That holds inside a run when ``t`` is a whole ns no later than
+        the run's ``until`` bound and its leap-consult threshold (the
+        loop would stop or consult first), no same-instant entry is
+        pending (it fires first) and the heap holds nothing at or before
+        ``t`` (an older entry wins a tie).  Then the clock moves to
+        ``t``, the ``n`` seqs the posts would take are spent and their
+        firings counted, and the caller runs the continuations itself;
+        what they post gets the seqs it would have got.  Outside a run,
+        or when any condition fails, nothing changes and the caller
+        posts as usual.
+        """
+        if t > self._lim or self._nowq:
+            return False
+        q = self._q
+        if (q and q[0][0] <= t) or type(t) is not int:
+            return False
+        self.now = t
+        self._seq += n
+        self.claimed += n
+        return True
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -259,11 +300,8 @@ class Engine:
         handle (the shard coordinator's query, with no carriers, almost
         always stops there); only a dead or carrier head costs a scan.
 
-        Exact between runs, at the run loop's leap consult (the FIFO is
-        empty there) and inside callbacks fired off the heap.  Inside a
-        callback fired off the FIFO, the instant's already-fired entries
-        are still listed, so the answer may be ``now`` — never later
-        than the exact one.
+        Exact between runs and inside callbacks: the FIFO holds only
+        pending entries (each is popped before it fires).
         """
         for e in self._nowq:
             if e[2] is not None or (e[3].alive and e[3] not in carriers):
@@ -286,10 +324,8 @@ class Engine:
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is drained.
 
-        Skims dead entries off the front exactly like the run loop would.
-        Reads the same-instant FIFO without draining it, so inside a
-        callback fired off the FIFO the answer may be ``now``, like
-        :meth:`next_external_time`'s.
+        Skims dead entries off the heap's front exactly like the run
+        loop would; reads the same-instant FIFO without draining it.
         """
         for e in self._nowq:
             if e[2] is not None or e[3].alive:
@@ -334,46 +370,44 @@ class Engine:
             for e in nowq:
                 heappush(q, e)
             nowq.clear()
+        popleft = nowq.popleft
         nfired = 0
         ndone = 0  # deferred _live decrements, flushed once in finally
+        nclaimed = self.claimed
         cur = self.now  # mirror of self.now: skip the store on time ties
         stop = _NEVER if hi is None else hi
         # Quiescence leap: consulted at the first clock advance strictly
         # past ``ntry``.  ``lim`` folds the leap threshold and the bound
         # into one compare per clock advance; without a leap or a bound
-        # each is a time no run reaches.
+        # each is a time no run reaches.  ``_lim`` mirrors it for claim,
+        # which moves the clock behind ``cur``'s back: ``cur`` may then
+        # lag ``now``, which only costs a store (nothing is queued at or
+        # before a claimed time).
         lp = self.leap
         ntry = _NEVER if lp is None else lp.next_try
-        lim = ntry if ntry < stop else stop
+        lim = self._lim = ntry if ntry < stop else stop
         try:
             while True:
                 # drain the instant: at-``now`` arrivals fire FIFO, which
                 # IS (time, seq) order (see class doc), unless older ties
-                # still sit at the heap head
+                # still sit at the heap head.  Each entry leaves the FIFO
+                # before it fires, so a raiser counts as fired and does
+                # not refire on resume.
                 if nowq and not (q and q[0][0] == cur):
-                    i = 0
-                    try:
-                        while i < len(nowq):
-                            e = nowq[i]
-                            i += 1
-                            efn = e[2]
-                            if efn is not None:
+                    while nowq:
+                        e = popleft()
+                        efn = e[2]
+                        if efn is not None:
+                            nfired += 1
+                            ndone += 1
+                            efn(*e[3])
+                        else:
+                            ev = e[3]
+                            if ev.alive:
                                 nfired += 1
                                 ndone += 1
-                                efn(*e[3])
-                            else:
-                                ev = e[3]
-                                if ev.alive:
-                                    nfired += 1
-                                    ndone += 1
-                                    ev._engine = None
-                                    ev.fn(*ev.args)
-                    except BaseException:
-                        # drop the fired prefix (the raiser included: it
-                        # counts as fired and must not refire on resume)
-                        del nowq[:i]
-                        raise
-                    nowq.clear()
+                                ev._engine = None
+                                ev.fn(*ev.args)
                     continue  # instant callbacks may have refilled the heap
                 if not q:
                     return self._drained()
@@ -393,7 +427,7 @@ class Engine:
                         lp.attempt(hi)
                         cur = self.now
                         ntry = max(lp.next_try, t)
-                        lim = ntry if ntry < stop else stop
+                        lim = self._lim = ntry if ntry < stop else stop
                         continue
                     if fn is not None or a.alive:
                         self.now = cur = t
@@ -407,9 +441,10 @@ class Engine:
                     a._engine = None
                     a.fn(*a.args)
         finally:
-            self.fired += nfired
+            self.fired += nfired + self.claimed - nclaimed
             if ndone:
                 self._live -= ndone
+            self._lim = -1
             self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

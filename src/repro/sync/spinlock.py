@@ -102,38 +102,42 @@ class SpinLock:
         self.holder_thread = None
 
     # ------------------------------------------------------------------
-    def acquire(
-        self, core: int, grant_cb: Callable[[], None], owner=None
-    ) -> Optional[_Waiter]:
-        """Request the lock for ``core``; ``grant_cb`` fires when granted.
-
-        The caller's core is assumed to busy-spin meanwhile (the scheduler
-        keeps the thread in the RUNNING state); the elapsed time until the
-        grant *is* the spin time.  Returns the waiter entry when the lock
-        was contended (so the scheduler can cancel the spin on a timer
-        preemption), or None when the grant is already scheduled.
+    def try_acquire(self, core: int, owner=None) -> Optional[int]:
+        """Take the lock for ``core`` if it is free: one RMW on the lock
+        word.  Returns the grant delay in ns — the RMW, plus a fault's
+        hold-preemption window — after which the caller treats the lock
+        as granted, or None when the lock is held (spin with
+        :meth:`wait`).  ``owner`` is the SimThread that will hold it (the
+        scheduler passes it for priority inheritance).
         """
-        now = self.engine.now
-        if not self.held:
-            # Uncontended path: one RMW on the lock word.
-            cost = self.line.rmw(core)
-            self.held = True
-            self.holder = core
-            self.holder_thread = owner
-            self._acquired_at = now + cost
-            self.stats.note_acquire(core, contended=False)
-            fi = self.faults
-            if fi is not None:
-                # lock-holder preemption: the winner is descheduled right
-                # after taking the word — the grant (and the critical
-                # section everyone else is spinning on) slips by the
-                # window, which note_hold then counts as hold time
-                cost += fi.hold_preempt_ns(core)
-            self.engine.post(cost, grant_cb)
+        if self.held:
             return None
-        # Contended: pay the failed CAS, then spin until handed off.
+        cost = self.line.rmw(core)
+        self.held = True
+        self.holder = core
+        self.holder_thread = owner
+        self._acquired_at = self.engine.now + cost
+        self.stats.note_acquire(core, contended=False)
+        fi = self.faults
+        if fi is not None:
+            # lock-holder preemption: the winner is descheduled right
+            # after taking the word — the grant (and the critical
+            # section everyone else is spinning on) slips by the
+            # window, which note_hold then counts as hold time
+            cost += fi.hold_preempt_ns(core)
+        return cost
+
+    def wait(self, core: int, grant_cb: Callable[[], None], owner=None) -> _Waiter:
+        """Spin on the held lock from ``core``: pay the failed CAS and
+        queue a waiter; ``grant_cb`` fires when :meth:`release` hands the
+        lock over.  The caller's core busy-spins meanwhile (the scheduler
+        keeps the thread RUNNING), so the time until the grant *is* the
+        spin time.  Returns the waiter entry, which
+        :meth:`cancel_waiter` takes (a timer preemption cancels the
+        spin).
+        """
         self.line.rmw(core)  # mutates coherence state; latency folded into spin
-        waiter = _Waiter(core, grant_cb, now, self._seq, owner)
+        waiter = _Waiter(core, grant_cb, self.engine.now, self._seq, owner)
         self._waiters.append(waiter)
         self._seq += 1
         self.stats.note_waiters(len(self._waiters))

@@ -29,6 +29,13 @@ API (``post``/``post_soon`` fire-and-forget, ``schedule`` for the
 cancellable Compute slices and sleeps): the scheduler relies only on the
 engine's ``(time, seq)`` firing order, never on its queue layout.
 
+Where a thread's next step is the last thing a callback queues — the
+end of a Compute slice or of any other instruction, a dispatch, a lock
+grant or a spin's end — the scheduler first asks ``Engine.claim``
+whether that step would be the next event to fire.  If so it runs the
+step in place (``_advance`` loops, so nothing recurses) with the seqs
+and ``fired`` count the posted events would have had.
+
 Doorbells
 ---------
 Idle cores eventually *park* (no live events) rather than looping forever.
@@ -531,8 +538,12 @@ class Scheduler:
         nxt.state = TState.RUNNING
         if nxt.prio == Prio.NORMAL:
             self._arm_timer(core)
-        nxt.instr_start = self.engine.now + switch_cost
-        self.engine.post(switch_cost, self._advance, core_id, nxt)
+        engine = self.engine
+        t = nxt.instr_start = engine.now + switch_cost
+        if engine.claim(t):
+            self._advance(core_id, nxt)
+        else:
+            engine.post(switch_cost, self._advance, core_id, nxt)
 
     def _release_core(self, core_id: int) -> None:
         self._cur[core_id] = None
@@ -632,47 +643,56 @@ class Scheduler:
         # An in-flight Compute slice schedules _advance directly as its
         # completion callback (no trampoline): the slice is over.
         thread.compute_event = None
-        if self._preempt[cid] and self._should_preempt(cid, thread):
-            self._preempt_thread(cid, thread)
-            return
-        instr = thread.pending_instr
-        if instr is not None:
-            thread.pending_instr = None
-        else:
-            try:
-                instr = thread.gen.send(thread.resume_value)
-            except StopIteration as stop:
-                thread.result = stop.value
-                self._finish(cid, thread)
-                return
-            thread.resume_value = None
-            skew = self.core_skew
-            if skew is not None and instr.__class__ is Compute:
-                # Slow-core fault: stretch *fresh* Compute work only — the
-                # pending_instr path above re-issues remainders that are
-                # already in skewed units (and shared instruction
-                # instances are never mutated, so build a new one).
-                f = skew[cid]
-                if f is not None:
-                    instr = Compute(instr.ns * f[0] // f[1])
         engine = self.engine
-        now = engine.now
-        thread.instr_start = now
-        # The single hottest instruction, a Compute slice, is handled here
-        # rather than in _exec: _advance runs once per instruction.
-        if instr.__class__ is Compute:
-            ns = instr.ns
-            quantum = self._quantum_ns
-            slice_ns = ns if ns <= quantum else quantum
-            remaining = ns - slice_ns
-            if remaining > 0:
-                thread.pending_instr = Compute(remaining)
-            thread.cpu_ns += slice_ns
-            self._busy[cid] += slice_ns
-            ev = engine.schedule(slice_ns, self._advance, cid, thread)
-            thread.compute_event = (ev, now, slice_ns)
-            return
-        self._exec(cid, thread, instr)
+        # One pass per instruction.  When the engine lets the thread's
+        # next step run in place (Engine.claim: nothing can fire before
+        # it), the loop goes round instead of queueing another _advance.
+        while True:
+            if self._preempt[cid] and self._should_preempt(cid, thread):
+                self._preempt_thread(cid, thread)
+                return
+            instr = thread.pending_instr
+            if instr is not None:
+                thread.pending_instr = None
+            else:
+                try:
+                    instr = thread.gen.send(thread.resume_value)
+                except StopIteration as stop:
+                    thread.result = stop.value
+                    self._finish(cid, thread)
+                    return
+                thread.resume_value = None
+                skew = self.core_skew
+                if skew is not None and instr.__class__ is Compute:
+                    # Slow-core fault: stretch *fresh* Compute work only —
+                    # the pending_instr path above re-issues remainders
+                    # that are already in skewed units (and shared
+                    # instruction instances are never mutated, so build a
+                    # new one).
+                    f = skew[cid]
+                    if f is not None:
+                        instr = Compute(instr.ns * f[0] // f[1])
+            now = engine.now
+            thread.instr_start = now
+            # The single hottest instruction, a Compute slice, is handled
+            # here rather than in _exec: _advance runs once per
+            # instruction.
+            if instr.__class__ is Compute:
+                ns = instr.ns
+                quantum = self._quantum_ns
+                slice_ns = ns if ns <= quantum else quantum
+                remaining = ns - slice_ns
+                if remaining > 0:
+                    thread.pending_instr = Compute(remaining)
+                thread.cpu_ns += slice_ns
+                self._busy[cid] += slice_ns
+                if engine.claim(now + slice_ns):
+                    continue
+                ev = engine.schedule(slice_ns, self._advance, cid, thread)
+                thread.compute_event = (ev, now, slice_ns)
+                return
+            if not self._exec(cid, thread, instr):
+                return
 
     def _should_preempt(self, cid: int, thread: SimThread) -> bool:
         """Preempt when a higher-priority thread waits, or — once the timer
@@ -728,11 +748,34 @@ class Scheduler:
         thread.cpu_ns += ns
         self._busy[cid] += ns
 
-    def _resume_after(self, cid: int, thread: SimThread, cost: int) -> None:
-        """Finish the current instruction ``cost`` ns from now."""
+    def _resume_after(self, cid: int, thread: SimThread, cost: int) -> bool:
+        """Finish the current instruction ``cost`` ns from now.  True when
+        the thread's next step runs in place (the caller's _advance loop
+        goes on), False when it is queued."""
         thread.cpu_ns += cost
         self._busy[cid] += cost
-        self.engine.post(cost, self._advance, cid, thread)
+        engine = self.engine
+        if engine.claim(engine.now + cost):
+            return True
+        engine.post(cost, self._advance, cid, thread)
+        return False
+
+    def _spun(self, cid: int, thread: SimThread, start: int) -> None:
+        """A busy-wait ends (a lock grant or a set flag reaches the
+        spinner): charge the spin since ``start`` and resume the thread."""
+        thread.spin_cancel = None
+        if thread.state is not _RUNNING or self._cur[cid] is not thread:  # pragma: no cover
+            # defensive: _cancel_spin deregisters a spinner it deschedules
+            raise RuntimeError(f"a spin ended for descheduled thread {thread.name!r}")
+        engine = self.engine
+        now = engine.now
+        spun_ns = now - start
+        thread.cpu_ns += spun_ns
+        self._busy[cid] += spun_ns
+        if engine.claim(now):
+            self._advance(cid, thread)
+        else:
+            engine.post_soon(self._advance, cid, thread)
 
     def interrupt_compute(self, core_id: int) -> bool:
         """Interrupt the current thread's in-flight Compute slice (the
@@ -794,7 +837,10 @@ class Scheduler:
                 self.wake(idle)
 
     # -- per-instruction handlers ----------------------------------------
-    def _exec(self, cid: int, thread: SimThread, instr: Instr) -> None:
+    def _exec(self, cid: int, thread: SimThread, instr: Instr) -> bool:
+        """Interpret one instruction; True when the thread's next step
+        runs in place (see _resume_after), False when it waits on an
+        event or gave up the core."""
         # Exact-type dispatch: every instruction class derives from Instr
         # directly and is never subclassed, and ``__class__ is X`` beats an
         # isinstance() chain on the hottest interpreter path.  The branches
@@ -803,47 +849,42 @@ class Scheduler:
         # a TypeError.
         cls = instr.__class__
         if cls is Acquire:
-            start = self.engine.now
-
-            def granted() -> None:
-                thread.spin_cancel = None
-                if thread.state is _RUNNING and self._cur[cid] is thread:
-                    engine = self.engine
-                    spun_ns = engine.now - start
-                    thread.cpu_ns += spun_ns
-                    self._busy[cid] += spun_ns
-                    engine.post_soon(self._advance, cid, thread)
-                else:  # pragma: no cover - defensive; cancel prevents this
-                    raise RuntimeError(
-                        f"lock {instr.lock.name!r} granted to descheduled "
-                        f"thread {thread.name!r}"
-                    )
-
-            waiter = instr.lock.acquire(cid, granted, thread)
-            if waiter is not None:
-                lock = instr.lock
-                thread.spin_cancel = (lambda: lock.cancel_waiter(waiter), instr)
-                holder = lock.holder_thread
-                if (
-                    holder is not None
-                    and holder.core_id == cid
-                    and holder.state is TState.READY
-                    and thread.prio < holder.prio
-                ):
-                    # Futile spin: the lock's owner was descheduled on THIS
-                    # core, so spinning can only starve it (priority-
-                    # inversion livelock).  Inherit: boost the holder to the
-                    # spinner's priority and yield the CPU to it.
-                    holder.prio_boost = thread.prio
-                    self._cancel_spin(cid, thread)
+            lock = instr.lock
+            engine = self.engine
+            start = engine.now
+            delay = lock.try_acquire(cid, thread)
+            if delay is not None:
+                # Uncontended: the grant fires ``delay`` ns from now and
+                # posts the resume at once, so both run in place when
+                # nothing queued can fire before them.
+                if engine.claim(start + delay, 2):
+                    thread.cpu_ns += delay
+                    self._busy[cid] += delay
+                    return True
+                engine.post(delay, self._spun, cid, thread, start)
+                return False
+            waiter = lock.wait(cid, lambda: self._spun(cid, thread, start), thread)
+            thread.spin_cancel = (lambda: lock.cancel_waiter(waiter), instr)
+            holder = lock.holder_thread
+            if (
+                holder is not None
+                and holder.core_id == cid
+                and holder.state is TState.READY
+                and thread.prio < holder.prio
+            ):
+                # Futile spin: the lock's owner was descheduled on THIS
+                # core, so spinning can only starve it (priority-
+                # inversion livelock).  Inherit: boost the holder to the
+                # spinner's priority and yield the CPU to it.
+                holder.prio_boost = thread.prio
+                self._cancel_spin(cid, thread)
+            return False
         elif cls is Release:
             if thread.prio_boost is not None:
                 thread.prio_boost = None  # inherited priority ends here
-            cost = instr.lock.release(cid)
-            self._resume_after(cid, thread, cost)
+            return self._resume_after(cid, thread, instr.lock.release(cid))
         elif cls is SetFlag:
-            cost = instr.flag.set(cid)
-            self._resume_after(cid, thread, cost)
+            return self._resume_after(cid, thread, instr.flag.set(cid))
         elif cls is Sleep:
             # The handle stays cancellable (doorbells cancel it).  An idle
             # thread's sleep is what the quiescence leap elides; the
@@ -854,65 +895,45 @@ class Scheduler:
             # a voluntary yield requeues exactly like a preemption
             self._preempt_thread(cid, thread)
         elif cls is SpinOn:
-            cost = instr.flag.read(cid)
-            if instr.flag.is_set:
-                self._resume_after(cid, thread, cost)
-            else:
-                start = self.engine.now
-
-                def spun() -> None:
-                    thread.spin_cancel = None
-                    if thread.state is _RUNNING and self._cur[cid] is thread:
-                        self._charge(cid, thread, self.engine.now - start)
-                        self.engine.post_soon(self._advance, cid, thread)
-                    else:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"flag {instr.flag.name!r} woke a descheduled "
-                            f"spinner {thread.name!r}"
-                        )
-
-                entry = instr.flag.add_spinner(cid, spun)
-                flag = instr.flag
-                thread.spin_cancel = (lambda: flag.remove_spinner(entry), instr)
+            flag = instr.flag
+            cost = flag.read(cid)
+            if flag.is_set:
+                return self._resume_after(cid, thread, cost)
+            start = self.engine.now
+            entry = flag.add_spinner(cid, lambda: self._spun(cid, thread, start))
+            thread.spin_cancel = (lambda: flag.remove_spinner(entry), instr)
         elif cls is BlockOn:
             cost = instr.flag.read(cid)
             if instr.flag.is_set:
-                self._resume_after(cid, thread, cost)
-            else:
-                self._charge(cid, thread, cost)
-                instr.flag.add_blocker(thread)
-                self._block(cid, thread, f"flag:{instr.flag.name}")
+                return self._resume_after(cid, thread, cost)
+            self._charge(cid, thread, cost)
+            instr.flag.add_blocker(thread)
+            self._block(cid, thread, f"flag:{instr.flag.name}")
         elif cls is Park:
             if thread is not self.cores[cid].idle_thread:
                 raise RuntimeError("only the idle thread may Park")
             self._block(cid, thread, "parked")
         elif cls is MutexAcquire:
             cost = instr.mutex.acquire(thread)
-            if cost is None:
-                self._block(cid, thread, f"mutex:{instr.mutex.name}")
-            else:
-                self._resume_after(cid, thread, cost)
+            if cost is not None:
+                return self._resume_after(cid, thread, cost)
+            self._block(cid, thread, f"mutex:{instr.mutex.name}")
         elif cls is MutexRelease:
-            cost = instr.mutex.release(thread)
-            self._resume_after(cid, thread, cost)
+            return self._resume_after(cid, thread, instr.mutex.release(thread))
         elif cls is BlockOnAny:
             cost = 0
-            fired = False
             for f in instr.flags:
                 cost += f.read(cid)
                 if f.is_set:
-                    fired = True
-                    break
-            if fired:
-                self._resume_after(cid, thread, cost)
-            else:
-                self._charge(cid, thread, cost)
-                for f in instr.flags:
-                    f.add_blocker(thread)
-                thread.multi_flags = instr.flags
-                self._block(cid, thread, f"any-of-{len(instr.flags)}-flags")
+                    return self._resume_after(cid, thread, cost)
+            self._charge(cid, thread, cost)
+            for f in instr.flags:
+                f.add_blocker(thread)
+            thread.multi_flags = instr.flags
+            self._block(cid, thread, f"any-of-{len(instr.flags)}-flags")
         else:
             raise TypeError(f"unknown instruction {instr!r} from {thread!r}")
+        return False
 
     def _sleep_wake(self, thread: SimThread) -> None:
         thread.sleep_event = None

@@ -228,6 +228,37 @@ class TestIdentity:
             assert runs[k].fingerprint() == ref.fingerprint()
         verify_completion(ref.snapshot, spec)
 
+    def test_same_instant_arrivals_from_two_shards_keep_send_order(self):
+        """RTS frames from nodes 5 and 6, both sent at 2,512 ns, reach
+        node 4 at 4,112 ns; one process delivers 5's first.  At 3 shards
+        the three nodes sit on three shards, so node 4's inbox mixes two
+        source shards, which must not decide the order."""
+        spec = small_spec(
+            nnodes=8, requests_per_node=4, pattern="incast", incast_fanin=4,
+            mean_gap_ns=0, think_ns=20_000, collective_every=2, seed=7,
+        )
+        ref = run_one(spec, 1, trace=False)
+        for k in (2, 3, 4):
+            run = run_one(spec, k, trace=False)
+            assert run.fired == ref.fired, f"diverged at k={k}"
+            assert run.fingerprint() == ref.fingerprint(), f"diverged at k={k}"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "RTS frames from nodes 7 and 8, both sent at 2,998 ns, reach node 0 "
+        "at 4,604 ns.  At 3 shards node 8 shares node 0's shard and node 7 "
+        "does not: one frame keeps its send-time seq, the other is injected "
+        "at the window start.  One process orders the two sends by their "
+        "global interleaving, which no per-shard rule reproduces."
+    ))
+    def test_same_nanosecond_sends_local_and_remote_diverge(self):
+        spec = WorkloadSpec(
+            nnodes=12, requests_per_node=4, pattern="hotspot", incast_fanin=4,
+            arrival="open", mean_gap_ns=3_000, think_ns=5_000, rdv_fraction=0.5,
+            collective_every=2, seed=100,
+        )
+        ref = run_one(spec, 1, trace=False)
+        assert run_one(spec, 3, trace=False).fingerprint() == ref.fingerprint()
+
     def test_bit_identical_with_faults(self):
         spec = small_spec(seed=9)
         plan = FaultPlan(seed=5, net=NetFaults(drop_p=0.05, reorder_p=0.05))

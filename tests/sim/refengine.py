@@ -45,11 +45,17 @@ class HeapqEngine:
                 hi = math.floor(hi)
             if hi < self.now:
                 raise ValueError(f"cannot run until {until} ns: the clock is at {self.now} ns")
-        while self.peek_time() is not None:
-            if hi is not None and self.peek_time() > hi:
+        heap = self._heap
+        while heap:
+            # the raw head, dead or alive: a bounded run ends at ``until``
+            # even when only cancelled entries lie past it
+            if hi is not None and heap[0][0] > hi:
                 self.now = hi
                 break
-            self.now, _, ev = heappop(self._heap)
+            t, _, ev = heappop(heap)
+            if not ev.alive:
+                continue
+            self.now = t
             self.fired += 1
             self._live -= 1
             ev._engine = None

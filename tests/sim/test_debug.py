@@ -102,7 +102,7 @@ def test_thread_line_spinning_marker():
     eng = Engine()
     sched = Scheduler(m, eng, rng=Rng(1))
     lock = SpinLock(m, eng, home=0)
-    lock.acquire(7, lambda: None)  # host-held
+    lock.try_acquire(7)  # host-held
 
     def spinner(ctx):
         yield Acquire(lock)

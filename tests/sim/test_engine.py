@@ -94,6 +94,16 @@ def test_run_until_before_now_is_refused(make):
 
 
 @pytest.mark.parametrize("make", [Engine, HeapqEngine], ids=["wheel", "reference"])
+def test_bounded_run_ends_at_until_past_a_cancelled_entry(make):
+    """Only a cancelled handle lies past the bound: the run still ends at
+    ``until``, not at the last live event."""
+    eng = make()
+    eng.schedule(100, lambda: None).cancel()
+    assert eng.run(until=50) == 50
+    assert eng.now == 50 and eng.fired == 0 and eng.pending() == 0
+
+
+@pytest.mark.parametrize("make", [Engine, HeapqEngine], ids=["wheel", "reference"])
 def test_fractional_until_stops_the_clock_at_a_whole_ns(make):
     """Times are whole ns: a fractional bound fires the events at or
     before it and leaves ``now == floor(until)``, an int the engine can

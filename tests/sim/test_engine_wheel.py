@@ -333,3 +333,250 @@ def test_peek_time_inside_a_fifo_callback_refires_nothing():
     eng.run()
     assert seen == ["a", "b", "c"]
     assert eng.fired == 4 and eng.pending() == 0
+
+
+# ---------------------------------------------------------------------------
+# in-place continuation (Engine.claim)
+# ---------------------------------------------------------------------------
+def _claim_at(eng, at, t, n=1):
+    """Run ``eng`` and call ``claim(t, n)`` from a callback at ``at``;
+    returns the answer and the clock right after it."""
+    got = []
+
+    def probe():
+        got.append(eng.claim(t, n))
+        got.append(eng.now)
+
+    eng.post_at(at, probe)
+    eng.run()
+    return got
+
+
+def test_claim_moves_the_clock_and_spends_the_seqs_it_runs():
+    eng = Engine()
+    assert _claim_at(eng, 10, 25, 2) == [True, 25]
+    assert eng.now == 25 and eng._seq == 3  # the probe's seq, then two
+    assert eng.fired == 3 and eng.claimed == 2 and eng.pending() == 0
+
+
+def test_claim_refuses_outside_a_run():
+    eng = Engine()
+    assert eng.claim(0) is False
+    eng.post(5, lambda: None)
+    eng.run()
+    assert eng.claim(5) is False and eng.claim(9) is False
+    assert eng.now == 5 and eng._seq == 1 and eng.claimed == 0
+
+
+def test_claim_refuses_past_until():
+    eng = Engine()
+    got = []
+
+    def probe():
+        got.append(eng.claim(101))
+        got.append(eng.claim(100))
+
+    eng.post(10, probe)
+    assert eng.run(until=100) == 100
+    assert got == [False, True] and eng.claimed == 1
+
+
+class _Leap:
+    """A leap that never leaps: it only sets the consult threshold."""
+
+    def __init__(self, next_try):
+        self.next_try = next_try
+        self.attempts = []
+
+    def attempt(self, hi):
+        self.attempts.append(hi)
+        self.next_try = 1 << 40
+
+
+def test_claim_refuses_past_the_leap_threshold():
+    """The run loop consults the leap at the first clock advance past
+    ``next_try``; a claim must not carry the clock over that point."""
+    eng = Engine()
+    eng.leap = _Leap(50)
+    got = []
+
+    def probe():
+        got.append(eng.claim(51))
+        got.append(eng.claim(50))
+
+    eng.post(10, probe)
+    eng.post(60, lambda: None)
+    eng.run()
+    assert got == [False, True]
+    assert eng.leap.attempts == [None]  # consulted once, at 60
+
+
+def test_claim_refuses_behind_a_pending_same_instant_entry():
+    eng = Engine()
+    got = []
+
+    def probe():
+        eng.post_soon(lambda: None)
+        got.append(eng.claim(eng.now))
+        got.append(eng.claim(eng.now + 5))
+
+    def chain():
+        eng.post_soon(probe)
+        eng.post_soon(got.append, "tail")
+
+    eng.post(10, probe)
+    eng.post(20, chain)
+    eng.run()
+    assert got == [False, False, False, False, "tail"]
+    assert eng.claimed == 0
+
+
+def test_claim_refuses_behind_a_heap_entry_at_or_before_t():
+    eng = Engine()
+    got = []
+
+    def probe():
+        got.append(eng.claim(30))  # a live entry at 30 is older
+        got.append(eng.claim(29))
+
+    eng.post(10, probe)
+    eng.post(30, lambda: None)
+    eng.run()
+    assert got == [False, True]
+    dead = Engine()
+    dead.schedule(30, lambda: None).cancel()
+    assert _claim_at(dead, 10, 30) == [False, 10]  # a dead one too
+
+
+def test_claim_refuses_a_fractional_time():
+    """A post rounds a fractional time up to a whole ns; a claim leaves
+    that to the post instead of moving the clock to a float."""
+    eng = Engine()
+    assert _claim_at(eng, 10, 12.5) == [False, 10]
+    assert eng.claimed == 0
+
+
+def test_claim_runs_in_place_after_a_fifo_callback():
+    """The FIFO drain pops each entry before it fires, so the last entry
+    of an instant sees no pending tie and may claim."""
+    eng = Engine()
+    got = []
+
+    def last():
+        got.append(eng.claim(eng.now + 3))
+
+    def kick():
+        eng.post_soon(got.append, "first")
+        eng.post_soon(last)
+
+    eng.post(5, kick)
+    eng.run()
+    assert got == ["first", True] and eng.now == 8
+
+
+class _Actors:
+    """Random actors that run steps, wait on grants and make noise.
+
+    With ``in_place`` each actor runs its next step (or a grant and the
+    step it posts, ``n=2``) in place whenever ``Engine.claim`` allows;
+    otherwise, and always on the reference engine, it posts.  One shared
+    Random decides everything, so any difference in firing order
+    changes every later draw.
+    """
+
+    def __init__(self, eng, seed, in_place, steps=25):
+        self.eng = eng
+        self.rng = random.Random(seed)
+        self.claim = eng.claim if in_place else (lambda t, n=1: False)
+        self.steps = steps
+        self.log = []
+        self.handles = []
+        self.posted = 0
+
+    def start(self, nactors):
+        for actor in range(nactors):
+            self.eng.post(self.rng.choice([0, 0, 4, 9]), self.step, actor, 0)
+
+    def step(self, actor, k):
+        eng = self.eng
+        rng = self.rng
+        while True:
+            self.log.append((eng.now, actor, k))
+            if k == self.steps:
+                return
+            r = rng.random()
+            if r < 0.2:
+                eng.post(rng.choice([0, 1, 5, 40]), self.noise, actor)
+            elif r < 0.3:
+                self.handles.append(eng.schedule(rng.randrange(0, 60), self.noise, actor))
+            elif r < 0.4 and self.handles:
+                self.handles.pop(rng.randrange(len(self.handles))).cancel()
+            d = rng.choice([0, 0, 1, 3, 10, 25])
+            k += 1
+            if rng.random() < 0.3:
+                # a grant at ``d`` that resumes the actor at once
+                if self.claim(eng.now + d, 2):
+                    self.log.append((eng.now, actor, "grant"))
+                    continue
+                self.posted += 1
+                eng.post(d, self.grant, actor, k)
+                return
+            if self.claim(eng.now + d):
+                continue
+            self.posted += 1
+            eng.post(d, self.step, actor, k)
+            return
+
+    def grant(self, actor, k):
+        eng = self.eng
+        self.log.append((eng.now, actor, "grant"))
+        if self.claim(eng.now):
+            self.step(actor, k)
+        else:
+            eng.post_soon(self.step, actor, k)
+
+    def noise(self, actor):
+        eng = self.eng
+        self.log.append((eng.now, actor, "noise"))
+        if self.rng.random() < 0.3:
+            eng.post_soon(self.log.append, (eng.now, actor, "soon"))
+
+    def state(self):
+        eng = self.eng
+        return (tuple(self.log), eng.now, eng.fired, eng.pending())
+
+
+@pytest.mark.parametrize("seed", [2, 19, 404, 8128])
+def test_in_place_fuzz_matches_the_posting_reference(seed):
+    """Running continuations in place whenever ``claim`` allows gives
+    the same ``(time, actor, step)`` stream, ``fired`` and ``now`` as
+    posting every one of them on the reference engine."""
+    runs = []
+    for eng, in_place in ((Engine(), True), (HeapqEngine(), False)):
+        a = _Actors(eng, seed, in_place)
+        a.start(6)
+        eng.run()
+        runs.append(a)
+    fast, ref = runs
+    assert fast.state() == ref.state()
+    assert 0 < fast.eng.claimed and fast.posted < ref.posted  # both paths ran
+
+
+@pytest.mark.parametrize("seed", [7, 61, 977])
+def test_in_place_fuzz_matches_under_until_bounds(seed):
+    """The same, run to random ``until`` bounds: a claim never carries
+    the clock past the bound, and the two engines agree after every
+    run."""
+    fast = _Actors(Engine(), seed, True)
+    ref = _Actors(HeapqEngine(), seed, False)
+    fast.start(5)
+    ref.start(5)
+    bounds = random.Random(seed ^ 0x5EED)
+    while fast.eng.pending():
+        bound = fast.eng.now + bounds.randrange(0, 40)
+        end = fast.eng.run(until=bound)
+        assert end == ref.eng.run(until=bound)
+        assert end == bound or not fast.eng.pending()  # or drained first
+        assert fast.state() == ref.state()
+    assert not ref.eng.pending()
+    assert fast.eng.claimed > 0

@@ -1,8 +1,8 @@
 """One owner for the event queue.
 
 The engine's queue layout (entry tuples, the ``seq``/``live`` counters,
-the same-instant FIFO and the heap behind it) is a decision of
-``sim/engine.py`` alone.  Every other module posts through the public
+the same-instant FIFO, the heap behind it and the run loop's threshold
+mirror that ``claim`` reads) is a decision of ``sim/engine.py`` alone.  Every other module posts through the public
 API (``post``/``post_at``/``post_soon``/``schedule``) and relies only on
 the ``(time, seq)`` firing order that the engine fuzz checks against the
 test-only reference engine.  The one
@@ -20,7 +20,7 @@ import repro
 
 SRC = os.path.dirname(repro.__file__)
 #: engine-private queue state
-PRIVATE = {"_seq", "_live", "_nowq", "_q", "_enqueue"}
+PRIVATE = {"_seq", "_live", "_nowq", "_q", "_enqueue", "_lim"}
 #: the queue's owner, and the leap (until it is deleted)
 ALLOWED = {os.path.join("sim", "engine.py"), os.path.join("core", "leap.py")}
 

@@ -8,11 +8,22 @@ from repro.sync.spinlock import SpinLock
 from repro.topology.builder import borderline, kwak
 
 
+def acquire(lock, core, grant_cb):
+    """Request ``lock`` like the scheduler's Acquire: a free lock grants
+    ``grant_cb`` after try_acquire's delay, a held one queues a spinner
+    (returned, for cancel_waiter)."""
+    delay = lock.try_acquire(core)
+    if delay is None:
+        return lock.wait(core, grant_cb)
+    lock.engine.post(delay, grant_cb)
+    return None
+
+
 def test_uncontended_acquire_grants_quickly():
     m, eng = borderline(), Engine()
     lock = SpinLock(m, eng, name="L")
     granted = []
-    lock.acquire(0, lambda: granted.append(eng.now))
+    acquire(lock, 0, lambda: granted.append(eng.now))
     eng.run()
     assert granted and granted[0] <= m.xfer(0, 0) + m.spec.cas_ns + 5
     assert lock.held and lock.holder == 0
@@ -28,7 +39,7 @@ def test_release_without_hold_raises():
 def test_release_by_non_holder_raises():
     m, eng = borderline(), Engine()
     lock = SpinLock(m, eng)
-    lock.acquire(0, lambda: None)
+    acquire(lock, 0, lambda: None)
     eng.run()
     with pytest.raises(RuntimeError):
         lock.release(3)
@@ -38,11 +49,11 @@ def test_contended_handoff_to_nearest():
     m, eng = borderline(), Engine()
     lock = SpinLock(m, eng, name="L")
     order = []
-    lock.acquire(0, lambda: order.append(0))
+    acquire(lock, 0, lambda: order.append(0))
     eng.run()
     # cores 7 (far) then 1 (sibling) start spinning
-    lock.acquire(7, lambda: order.append(7))
-    lock.acquire(1, lambda: order.append(1))
+    acquire(lock, 7, lambda: order.append(7))
+    acquire(lock, 1, lambda: order.append(1))
     lock.release(0)
     eng.run()
     assert order == [0, 1]  # sibling wins despite arriving second
@@ -58,10 +69,10 @@ def test_handoff_delay_scales_with_distance():
     # near waiter
     eng1 = Engine()
     l1 = SpinLock(m, eng1)
-    l1.acquire(0, lambda: None)
+    acquire(l1, 0, lambda: None)
     eng1.run()
     t_near = []
-    l1.acquire(1, lambda: t_near.append(eng1.now))
+    acquire(l1, 1, lambda: t_near.append(eng1.now))
     base = eng1.now
     l1.release(0)
     eng1.run()
@@ -69,10 +80,10 @@ def test_handoff_delay_scales_with_distance():
     # far waiter
     eng2 = Engine()
     l2 = SpinLock(m, eng2)
-    l2.acquire(0, lambda: None)
+    acquire(l2, 0, lambda: None)
     eng2.run()
     t_far = []
-    l2.acquire(15, lambda: t_far.append(eng2.now))
+    acquire(l2, 15, lambda: t_far.append(eng2.now))
     base = eng2.now
     l2.release(0)
     eng2.run()
@@ -84,11 +95,11 @@ def test_contended_factor_applies_with_multiple_waiters():
     m = kwak()
     eng = Engine()
     lock = SpinLock(m, eng)
-    lock.acquire(0, lambda: None)
+    acquire(lock, 0, lambda: None)
     eng.run()
     granted = []
-    lock.acquire(4, lambda: granted.append(("a", eng.now)))
-    lock.acquire(8, lambda: granted.append(("b", eng.now)))
+    acquire(lock, 4, lambda: granted.append(("a", eng.now)))
+    acquire(lock, 8, lambda: granted.append(("b", eng.now)))
     t0 = eng.now
     lock.release(0)
     eng.run(until=t0 + 10_000_000)
@@ -102,15 +113,15 @@ def test_starvation_bound_promotes_oldest():
     eng = Engine()
     lock = SpinLock(m, eng, name="L")
     order = []
-    lock.acquire(0, lambda: order.append(0))
+    acquire(lock, 0, lambda: order.append(0))
     eng.run()
     # a far core waits first...
-    lock.acquire(6, lambda: order.append(6))
+    acquire(lock, 6, lambda: order.append(6))
     # ...time passes beyond the starvation bound...
     eng.schedule(m.spec.lock_starvation_ns + 1, lambda: None)
     eng.run()
     # ...then a nearby core joins and the lock is released
-    lock.acquire(1, lambda: order.append(1))
+    acquire(lock, 1, lambda: order.append(1))
     lock.release(0)
     eng.run()
     assert order[1] == 6, "starved distant waiter must win over the sibling"
@@ -119,10 +130,10 @@ def test_starvation_bound_promotes_oldest():
 def test_cancel_waiter():
     m, eng = borderline(), Engine()
     lock = SpinLock(m, eng)
-    lock.acquire(0, lambda: None)
+    acquire(lock, 0, lambda: None)
     eng.run()
     granted = []
-    w = lock.acquire(5, lambda: granted.append(5))
+    w = acquire(lock, 5, lambda: granted.append(5))
     assert w is not None
     assert lock.cancel_waiter(w) is True
     assert lock.cancel_waiter(w) is False  # already gone
@@ -134,10 +145,10 @@ def test_cancel_waiter():
 def test_stats_counters():
     m, eng = borderline(), Engine()
     lock = SpinLock(m, eng)
-    lock.acquire(0, lambda: None)
+    acquire(lock, 0, lambda: None)
     eng.run()
-    lock.acquire(2, lambda: None)
-    lock.acquire(3, lambda: None)
+    acquire(lock, 2, lambda: None)
+    acquire(lock, 3, lambda: None)
     lock.release(0)
     eng.run()
     lock.release(lock.holder)
@@ -177,7 +188,7 @@ def test_property_mutual_exclusion_and_liveness(cores):
         return on_grant
 
     for i, core in enumerate(cores):
-        lock.acquire(core, make_user(i, core))
+        acquire(lock, core, make_user(i, core))
     eng.run()
     assert sorted(completed) == list(range(len(cores)))
     assert not lock.held

@@ -82,7 +82,7 @@ def test_timer_cancels_lock_spin_for_contender():
 
     # core 5 holds the lock for 5 ms (host-level, so the hold is in place
     # before any thread runs)
-    lock.acquire(5, lambda: None)
+    lock.try_acquire(5)
     eng.schedule(5_000_000, lock.release, 5)
 
     def spinner(ctx):
