@@ -239,7 +239,6 @@ class PIOMan:
             self.machine, self.engine, home=core,
             name=f"done:{task.name or f'anon{self._anon_seq}'}",
         )
-        task.submit_core = core
         task.submit_time = self.engine.now
         return self.hierarchy.queue_for_cpuset(task.cpuset)
 
@@ -454,14 +453,14 @@ class PIOMan:
                 # that — including the coherence side effect — and move
                 # to the next level.
                 lstats.reads += 1
-                if core in line.sharers:
+                if line.sharers >> core & 1:
                     lstats.read_hits += 1
                     cost = local_ns
                 else:
                     lstats.read_misses += 1
                     cost = xfer_m[line.owner][core]
                     lstats.transfer_ns_total += cost
-                    line.sharers.add(core)
+                    line.sharers |= 1 << core
                 qstats.empty_checks += 1
                 yield Compute(cost)
                 continue

@@ -210,14 +210,14 @@ class TaskQueue:
         if visible != actual:
             cost = self._local_ns  # stale copy, local hit
             line_stats.read_hits += 1
-        elif core in line.sharers:  # CacheLine.read inlined (hot)
+        elif line.sharers >> core & 1:  # CacheLine.read inlined (hot)
             line_stats.read_hits += 1
             cost = self._local_ns
         else:
             line_stats.read_misses += 1
             cost = self._xfer_m[line.owner][core]
             line_stats.transfer_ns_total += cost
-            line.sharers.add(core)
+            line.sharers |= 1 << core
         if visible:
             stats.nonempty_checks += 1
         else:
@@ -270,7 +270,6 @@ class TaskQueue:
             self._note_transition(core, prev_nonempty=False)
         self._tasks.append(task)
         task.state = TaskState.QUEUED
-        task.queue_name = self.name
         task.enqueued_at = self.engine.now
         self.stats.enqueues += 1
         if len(self._tasks) > self.stats.max_len:

@@ -36,6 +36,10 @@ class TaskOption(enum.Flag):
     PREEMPTIVE = enum.auto()
 
 
+#: the REPEAT bit, for :attr:`LTask.repeat`
+_REPEAT = TaskOption.REPEAT._value_
+
+
 class TaskState(enum.Enum):
     CREATED = "created"
     QUEUED = "queued"
@@ -54,18 +58,16 @@ class LTask:
         "func",
         "arg",
         "cpuset",
-        "options",
+        "_options",
+        "repeat",
         "cost_ns",
         "name",
         "state",
         "completion",
         "owner",
-        "submit_core",
         "submit_time",
         "complete_time",
         "executions",
-        "executed_by",
-        "queue_name",
         "current_core",
         "enqueued_at",
         "first_polled_at",
@@ -98,13 +100,11 @@ class LTask:
         #: bound by the manager at submit time (needs machine + engine)
         self.completion: Optional["Flag"] = None
         self.owner = owner
-        self.submit_core: Optional[int] = None
         self.submit_time: Optional[int] = None
         self.complete_time: Optional[int] = None
+        #: runs of this task's function since its submission (per-core
+        #: counts live in ``PIOManStats.executions_by_core``)
         self.executions = 0
-        #: core id -> times this task's function ran there
-        self.executed_by: dict[int, int] = {}
-        self.queue_name = ""
         #: core currently (or last) executing this task's function
         self.current_core: Optional[int] = None
         #: lifecycle spans (virtual-time stamps, set by queue/manager):
@@ -137,7 +137,8 @@ class LTask:
 
     @property
     def poll_attempts(self) -> int:
-        """How many times a core polled (ran) this task's function."""
+        """How many times a core polled (ran) this task's function since
+        its submission (:meth:`reset` starts the count again)."""
         return self.executions
 
     def queue_wait_ns(self) -> Optional[int]:
@@ -154,12 +155,20 @@ class LTask:
 
     # ------------------------------------------------------------------
     @property
-    def repeat(self) -> bool:
-        return bool(self.options & TaskOption.REPEAT)
+    def options(self) -> TaskOption:
+        return self._options
+
+    @options.setter
+    def options(self, options: TaskOption) -> None:
+        self._options = options
+        # A plain bool, read on every run of the task.  Tested on the
+        # member's int value: ``Flag``'s ``&`` and ``in`` are Python-level
+        # calls, each dearer than the rest of a task's construction.
+        self.repeat = options._value_ & _REPEAT != 0
 
     @property
     def preemptive(self) -> bool:
-        return bool(self.options & TaskOption.PREEMPTIVE)
+        return TaskOption.PREEMPTIVE in self._options
 
     @property
     def done(self) -> bool:
@@ -170,7 +179,6 @@ class LTask:
         self.state = TaskState.RUNNING
         self.current_core = core
         self.executions += 1
-        self.executed_by[core] = self.executed_by.get(core, 0) + 1
         if self.func is None:
             return True
         result = self.func(self)
@@ -179,17 +187,23 @@ class LTask:
         return bool(result)
 
     def reset(self) -> None:
-        """Make the task submittable again (embedded-reuse convention)."""
+        """Make the task submittable again (embedded-reuse convention).
+
+        Every per-submission field starts over, ``executions`` included:
+        the manager closes a submission's queue-wait span on its first
+        run, which it recognises by ``executions == 0``.
+        """
         if self.state in (TaskState.QUEUED, TaskState.RUNNING):
             raise RuntimeError(f"cannot reset in-flight task {self.name!r}")
         self.state = TaskState.CREATED
         self.completion = None
-        self.submit_core = None
         self.submit_time = None
         self.complete_time = None
         self.enqueued_at = None
         self.first_polled_at = None
         self.trace_prev_run = None
+        self.executions = 0
+        self.current_core = None
 
     def __repr__(self) -> str:
         return (

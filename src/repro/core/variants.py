@@ -92,7 +92,6 @@ class LockFreeTaskQueue(TaskQueue):
             self._note_transition(core, prev_nonempty=False)
         self._tasks.append(task)
         task.state = TaskState.QUEUED
-        task.queue_name = self.name
         self.stats.enqueues += 1
         if len(self._tasks) > self.stats.max_len:
             self.stats.max_len = len(self._tasks)

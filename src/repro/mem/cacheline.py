@@ -11,24 +11,28 @@ The paper's scalability results are, at bottom, stories about cache lines:
   holder, hence the NUMA distance between them.
 
 :class:`CacheLine` models exactly that much — an owner (last writer) and a
-sharer set — and returns a *cost in nanoseconds* from every access, which
-the caller charges to the acting core's virtual time.  It deliberately does
-not model capacity/conflict misses: the structures of interest (queue
-heads, lock words, completion flags) are hot lines.
+bitmask of sharing cores — and returns a *cost in nanoseconds* from every
+access, which the caller charges to the acting core's virtual time.  It
+deliberately does not model capacity/conflict misses: the structures of
+interest (queue heads, lock words, completion flags) are hot lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.machine import Machine
 
 
-@dataclass
+@dataclass(slots=True)
 class MemStats:
-    """Aggregate coherence-traffic counters (shared by related lines)."""
+    """Aggregate coherence-traffic counters (shared by related lines).
+
+    Slotted: every completion flag's line carries one, so a dict per
+    instance would be paid once per submitted task.
+    """
 
     reads: int = 0
     read_hits: int = 0
@@ -60,6 +64,8 @@ class CacheLine:
     the access latency in ns.  Ownership means "last writer"; a line with
     several sharers and an owner corresponds to MESI Shared with the
     owner's copy also Shared (we keep the owner id to price the next miss).
+    ``sharers`` is a bitmask of core ids (bit ``c`` set: core ``c`` holds
+    a copy); the owner's bit is always set.
     """
 
     __slots__ = ("machine", "owner", "sharers", "name", "stats")
@@ -73,7 +79,7 @@ class CacheLine:
     ) -> None:
         self.machine = machine
         self.owner = home
-        self.sharers: set[int] = {home}
+        self.sharers = 1 << home
         self.name = name
         self.stats = stats if stats is not None else MemStats()
 
@@ -82,13 +88,13 @@ class CacheLine:
         """Load by ``core``; returns latency in ns."""
         st = self.stats
         st.reads += 1
-        if core in self.sharers:
+        if self.sharers >> core & 1:
             st.read_hits += 1
             return self.machine.spec.local_ns
         st.read_misses += 1
         cost = self.machine.xfer(self.owner, core)
         st.transfer_ns_total += cost
-        self.sharers.add(core)
+        self.sharers |= 1 << core
         return cost
 
     def write(self, core: int) -> int:
@@ -96,34 +102,29 @@ class CacheLine:
         machine = self.machine
         st = self.stats
         sharers = self.sharers
+        mine = 1 << core
         st.writes += 1
-        # owner is always a sharer, so owner==core + one sharer == {core}
-        if self.owner == core and len(sharers) == 1:
+        # the owner is always a sharer, so {core} alone means core owns it
+        if sharers == mine:
             st.write_hits += 1
             return machine.spec.local_ns
         # Fetch the line if we do not hold a copy at all.
-        if core in sharers:
+        if sharers & mine:
             cost = machine.spec.local_ns
         else:
             cost = machine.xfer(self.owner, core)
         # Invalidate every other sharer; the writer observes the latency of
-        # the farthest acknowledgement.  Loop instead of list + max(): this
-        # runs on every contended store.
-        inval = 0
-        farthest = 0
-        xrow = machine.xfer_row(core)
-        for s in sharers:
-            if s != core:
-                inval += 1
-                d = xrow[s]
-                if d > farthest:
-                    farthest = d
-        if inval:
-            st.invalidations += inval
-            cost += farthest
+        # the farthest acknowledgement: the first of the writer's distance
+        # tiers, farthest first, that holds a sharer.
+        others = sharers & ~mine
+        st.invalidations += others.bit_count()
+        for mask, ns in machine._xfer_tiers[core]:
+            if others & mask:
+                cost += ns
+                break
         st.transfer_ns_total += cost
         self.owner = core
-        self.sharers = {core}
+        self.sharers = mine
         return cost
 
     def write_async(self, core: int) -> int:
@@ -136,15 +137,15 @@ class CacheLine:
         physical transfer to both the writer and the notified reader.
         """
         st = self.stats
-        sharers = self.sharers
+        mine = 1 << core
+        others = self.sharers & ~mine
         st.writes += 1
-        others = len(sharers) - (1 if core in sharers else 0)
         if others:
-            st.invalidations += others
+            st.invalidations += others.bit_count()
         else:
             st.write_hits += 1
         self.owner = core
-        self.sharers = {core}
+        self.sharers = mine
         return self.machine.spec.local_ns
 
     def rmw(self, core: int) -> int:
@@ -152,4 +153,5 @@ class CacheLine:
         return self.write(core) + self.machine.spec.cas_ns
 
     def __repr__(self) -> str:
-        return f"<CacheLine {self.name or id(self)} owner={self.owner} sharers={sorted(self.sharers)}>"
+        cores = [c for c in range(self.sharers.bit_length()) if self.sharers >> c & 1]
+        return f"<CacheLine {self.name or id(self)} owner={self.owner} sharers={cores}>"

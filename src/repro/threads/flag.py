@@ -27,9 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Flag:
-    """One-shot (resettable) completion word with cost-modeled wakeups."""
+    """One-shot (resettable) completion word with cost-modeled wakeups.
 
-    __slots__ = ("machine", "engine", "line", "is_set", "name", "_spinners", "_blockers", "set_time")
+    The waiter lists exist only while someone waits: a flag nobody waits
+    on (most completion flags) holds ``None`` in both.
+    """
+
+    __slots__ = ("machine", "engine", "line", "is_set", "name", "_spinners", "_blockers")
 
     def __init__(
         self,
@@ -43,12 +47,11 @@ class Flag:
         self.engine = engine
         self.line = CacheLine(machine, home=home, name=name or "flag", stats=stats)
         self.is_set = False
-        self.set_time: Optional[int] = None
         self.name = name
         #: (core, resume_cb) pairs busy-spinning on the word
-        self._spinners: list[tuple[int, Callable[[], None]]] = []
+        self._spinners: Optional[list[tuple[int, Callable[[], None]]]] = None
         #: threads descheduled on the word
-        self._blockers: list["SimThread"] = []
+        self._blockers: Optional[list["SimThread"]] = None
 
     # ------------------------------------------------------------------
     def read(self, core: int) -> int:
@@ -67,13 +70,14 @@ class Flag:
         """
         cost = self.line.write_async(core)
         self.is_set = True
-        self.set_time = self.engine.now
-        if self._spinners:
-            spinners, self._spinners = self._spinners, []
+        spinners = self._spinners
+        if spinners is not None:
+            self._spinners = None
             for waiter_core, resume in spinners:
                 self.engine.post(self.machine.xfer(core, waiter_core), resume)
-        if self._blockers:
-            blockers, self._blockers = self._blockers, []
+        blockers = self._blockers
+        if blockers is not None:
+            self._blockers = None
             for thread in blockers:
                 delay = self.machine.xfer(core, thread.core_id)
                 self.engine.post(delay, thread.scheduler.wake, thread)
@@ -84,17 +88,21 @@ class Flag:
         if self._spinners or self._blockers:
             raise RuntimeError(f"reset of {self.name!r} with waiters present")
         self.is_set = False
-        self.set_time = None
         return self.line.write(core)
 
     # -- waiter registration (called by the scheduler) -------------------
     def add_spinner(self, core: int, resume: Callable[[], None]) -> tuple:
         entry = (core, resume)
-        self._spinners.append(entry)
+        if self._spinners is None:
+            self._spinners = [entry]
+        else:
+            self._spinners.append(entry)
         return entry
 
     def remove_spinner(self, entry: tuple) -> bool:
         """Deregister a spinner (timer preemption); False if already woken."""
+        if self._spinners is None:
+            return False
         try:
             self._spinners.remove(entry)
             return True
@@ -102,10 +110,15 @@ class Flag:
             return False
 
     def add_blocker(self, thread: "SimThread") -> None:
-        self._blockers.append(thread)
+        if self._blockers is None:
+            self._blockers = [thread]
+        else:
+            self._blockers.append(thread)
 
     def remove_blocker(self, thread: "SimThread") -> bool:
         """Deregister a blocked thread (multi-flag waits); False if absent."""
+        if self._blockers is None:
+            return False
         try:
             self._blockers.remove(thread)
             return True
@@ -113,7 +126,7 @@ class Flag:
             return False
 
     def waiter_count(self) -> int:
-        return len(self._spinners) + len(self._blockers)
+        return len(self._spinners or ()) + len(self._blockers or ())
 
     def __repr__(self) -> str:
         state = "set" if self.is_set else "clear"

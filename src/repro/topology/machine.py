@@ -173,6 +173,10 @@ class Machine:
         self.ncores = len(self.core_nodes)
         self._fill_cpusets(root)
         self._xfer = self._build_xfer_matrix()
+        #: per writer core, ``(core mask, ns)`` for each distinct transfer
+        #: cost from it, farthest first: a store's farthest invalidation
+        #: acknowledgement is the first tier its sharer bitmask meets
+        self._xfer_tiers = [self._tiers(row) for row in self._xfer]
         self._inval = [
             [self.spec.inval(self._common_level(a, b)) for b in range(self.ncores)]
             for a in range(self.ncores)
@@ -212,6 +216,13 @@ class Machine:
             [self.spec.xfer(self._common_level(a, b)) for b in range(n)]
             for a in range(n)
         ]
+
+    @staticmethod
+    def _tiers(row: list[int]) -> tuple[tuple[int, int], ...]:
+        masks: dict[int, int] = {}
+        for core, ns in enumerate(row):
+            masks[ns] = masks.get(ns, 0) | 1 << core
+        return tuple((mask, ns) for ns, mask in sorted(masks.items(), reverse=True))
 
     # -- queries --------------------------------------------------------
     def xfer(self, src_core: int, dst_core: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.manager import PIOMan
 from repro.core.progress import piom_wait, wait_all
 from repro.core.task import LTask, TaskOption, TaskState
+from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.rng import Rng
 from repro.threads.instructions import Compute
@@ -37,7 +38,8 @@ def test_submit_and_local_execution():
 
     t = sched.spawn(body, 0)
     eng.run()
-    assert task.done and task.executed_by == {0: 1}
+    assert task.done and (task.executions, task.current_core) == (1, 0)
+    assert pio.stats.executions_by_core == {0: 1}
     assert pio.stats.submits == 1 and pio.stats.tasks_completed == 1
     assert task.complete_time is not None
     assert t.result > 0
@@ -53,7 +55,29 @@ def test_submit_remote_core_executes_there():
 
     sched.spawn(body, 0)
     eng.run()
-    assert task.done and list(task.executed_by) == [6]
+    assert task.done and (task.executions, task.current_core) == (1, 6)
+    assert pio.stats.executions_by_core == {6: 1}
+
+
+def test_a_reused_task_records_every_submissions_queue_wait():
+    """``reset()`` starts the execution count over, so the second
+    submission of one task closes its own queue-wait span."""
+    m, eng, sched, pio = _world(kwak, registry=MetricsRegistry())
+    task = LTask(None, cpuset=CpuSet.single(5), name="reused")
+
+    def body(ctx):
+        for _ in range(2):
+            yield from pio.submit(0, task)
+            yield from piom_wait(pio, 0, task, mode="spin")
+            assert (task.executions, task.current_core) == (1, 5)
+            task.reset()
+
+    sched.spawn(body, 0)
+    eng.run()
+    snap = pio.registry.snapshot()
+    assert pio.stats.submits == pio.stats.executions == 2
+    assert snap["pioman.latency.submit_to_complete.count"] == 2
+    assert snap["pioman.latency.queue_wait.count"] == 2
 
 
 def test_double_submit_raises():
@@ -290,7 +314,8 @@ def test_flat_manager_works():
 
     sched.spawn(body, 0)
     eng.run()
-    assert task.done and list(task.executed_by) == [2]
+    assert task.done and (task.executions, task.current_core) == (1, 2)
+    assert pio.stats.executions_by_core == {2: 1}
 
 
 def test_submit_nowait_from_host_context():

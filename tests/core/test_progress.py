@@ -44,7 +44,8 @@ def test_active_wait_executes_local_tasks_itself():
 
     sched.spawn(body, 0)
     eng.run()
-    assert task.executed_by == {0: 1}
+    assert (task.executions, task.current_core) == (1, 0)
+    assert pio.stats.executions_by_core == {0: 1}
 
 
 def test_block_wait_frees_core_for_tasks():
@@ -113,5 +114,6 @@ def test_active_wait_helps_with_other_tasks_meanwhile():
 
     sched.spawn(body, 0)
     eng.run()
-    assert local.done and local.executed_by == {0: 1}
-    assert remote.done and list(remote.executed_by) == [6]
+    assert local.done and (local.executions, local.current_core) == (1, 0)
+    assert remote.done and (remote.executions, remote.current_core) == (1, 6)
+    assert pio.stats.executions_by_core == {0: 1, 6: 1}

@@ -72,8 +72,8 @@ def test_enqueue_sets_state_and_stats():
     sched.spawn(body, 0)
     eng.run()
     assert task.state is TaskState.QUEUED
-    assert task.queue_name == q.name
     assert q.stats.enqueues == 1 and q.stats.max_len == 1
+    assert q.drain() == [task]
 
 
 def test_empty_peek_takes_no_lock():

@@ -31,6 +31,8 @@ def test_option_flags():
         None, cpuset=CpuSet.single(0), options=TaskOption.REPEAT | TaskOption.PREEMPTIVE
     )
     assert t3.repeat and t3.preemptive
+    t3.options = TaskOption.NONE
+    assert t3.repeat is False and not t3.preemptive
 
 
 def test_run_none_func_is_complete():
@@ -38,14 +40,6 @@ def test_run_none_func_is_complete():
     assert t.run(0) is True
     assert t.executions == 1
     assert t.current_core == 0
-
-
-def test_run_records_per_core_counts():
-    t = LTask(lambda task: True, cpuset=CpuSet([0, 1]), options=TaskOption.REPEAT)
-    t.run(0)
-    t.run(1)
-    t.run(1)
-    assert t.executed_by == {0: 1, 1: 2}
 
 
 def test_repeat_verdict_from_function():
@@ -79,12 +73,17 @@ def test_function_receives_task_and_arg():
 
 
 def test_reset_allows_reuse():
-    t = LTask(None, cpuset=CpuSet.single(0))
+    """Every per-submission field starts over, the execution count
+    included: the manager recognises a submission's first run by
+    ``executions == 0``."""
+    t = LTask(None, cpuset=CpuSet([0, 1]))
+    t.run(1)
     t.state = TaskState.DONE
     t.submit_time = 55
     t.reset()
     assert t.state is TaskState.CREATED
     assert t.submit_time is None and t.completion is None
+    assert (t.executions, t.poll_attempts, t.current_core) == (0, 0, None)
 
 
 def test_reset_inflight_raises():

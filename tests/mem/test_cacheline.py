@@ -47,7 +47,7 @@ def test_write_by_non_sharer_fetches_first():
     line = CacheLine(m, home=0)
     cost = line.write(12)
     assert cost >= m.xfer(0, 12)
-    assert line.owner == 12 and line.sharers == {12}
+    assert line.owner == 12 and line.sharers == 1 << 12
 
 
 def test_write_async_charges_local_but_moves_ownership():
@@ -56,7 +56,7 @@ def test_write_async_charges_local_but_moves_ownership():
     line.read(9)
     cost = line.write_async(9)
     assert cost == m.spec.local_ns
-    assert line.owner == 9 and line.sharers == {9}
+    assert line.owner == 9 and line.sharers == 1 << 9
     # the displaced copy now misses
     assert line.read(0) == m.xfer(9, 0)
 
@@ -107,12 +107,56 @@ def test_property_costs_positive_and_owner_consistent(ops):
     for op, core in ops:
         if op == "r":
             cost = line.read(core)
-            assert core in line.sharers
+            assert line.sharers >> core & 1
         elif op == "w":
             cost = line.write(core)
-            assert line.owner == core and line.sharers == {core}
+            assert line.owner == core and line.sharers == 1 << core
         else:
             cost = line.write_async(core)
-            assert line.owner == core and line.sharers == {core}
+            assert line.owner == core and line.sharers == 1 << core
         assert cost >= m.spec.local_ns
-        assert line.owner in line.sharers
+        assert line.sharers >> line.owner & 1
+
+
+class _SetLine:
+    """The line as an owner plus a ``set`` of sharers, farthest
+    acknowledgement by a scan: the reference the bitmask must match."""
+
+    def __init__(self, m, home):
+        self.m, self.owner, self.sharers = m, home, {home}
+
+    def read(self, core):
+        if core in self.sharers:
+            return self.m.spec.local_ns
+        self.sharers.add(core)
+        return self.m.xfer(self.owner, core)
+
+    def write(self, core):
+        if self.sharers == {core}:
+            return self.m.spec.local_ns
+        cost = self.m.spec.local_ns if core in self.sharers else self.m.xfer(self.owner, core)
+        cost += max(self.m.xfer(core, s) for s in self.sharers - {core})
+        self.owner, self.sharers = core, {core}
+        return cost
+
+    def write_async(self, core):
+        self.owner, self.sharers = core, {core}
+        return self.m.spec.local_ns
+
+
+@given(st.sampled_from(["kwak", "ccx24"]),
+       st.lists(st.tuples(st.sampled_from(["read", "write", "write_async"]),
+                          st.integers(min_value=0, max_value=23)),
+                min_size=1, max_size=80))
+def test_property_bitmask_matches_a_set_of_sharers(name, ops):
+    """Costs, owner and membership equal the set model's on a 4-level
+    and a 5-level machine, whatever the order of accesses."""
+    from repro.topology import MACHINES
+
+    m = MACHINES[name]()
+    line, ref = CacheLine(m, home=0), _SetLine(m, 0)
+    for op, core in ops:
+        core %= m.ncores
+        assert getattr(line, op)(core) == getattr(ref, op)(core)
+        assert line.owner == ref.owner
+        assert line.sharers == sum(1 << c for c in ref.sharers)

@@ -13,15 +13,15 @@ from repro.topology.builder import borderline, kwak
 def test_initial_state_clear():
     m, eng = borderline(), Engine()
     f = Flag(m, eng, home=0, name="f")
-    assert not f.is_set and f.set_time is None
+    assert not f.is_set
     assert f.waiter_count() == 0
 
 
-def test_set_records_time_and_state():
+def test_set_marks_the_word_with_a_local_store():
     m, eng = borderline(), Engine()
     f = Flag(m, eng, home=0)
-    f.set(0)
-    assert f.is_set and f.set_time == 0
+    assert f.set(0) == m.spec.local_ns
+    assert f.is_set
 
 
 def test_reset_allows_reuse():
@@ -29,7 +29,7 @@ def test_reset_allows_reuse():
     f = Flag(m, eng, home=0)
     f.set(0)
     f.reset(0)
-    assert not f.is_set and f.set_time is None
+    assert not f.is_set
 
 
 def test_reset_with_waiters_raises():

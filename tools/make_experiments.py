@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
-from repro.bench.paper_targets import targets_for
-from repro.bench.reporting import format_latency, format_microbench, format_overlap
-from repro.bench.bandwidth import format_bandwidth
-from repro.par import JobSpec, resolve_jobs, run_jobs_strict
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# this checkout's package source, whether or not the package is installed
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from repro.bench.paper_targets import targets_for  # noqa: E402
+from repro.bench.reporting import format_latency, format_microbench, format_overlap  # noqa: E402
+from repro.bench.bandwidth import format_bandwidth  # noqa: E402
+from repro.par import JobSpec, resolve_jobs, run_jobs_strict  # noqa: E402
 
 OUT = "EXPERIMENTS.md"
 
