@@ -38,9 +38,10 @@ seqs, the engine's global event-seq allocation order) and re-arms each
 core's sleep carrier with the very ``(time, seq)`` the slow path would
 have assigned.  Anything it cannot prove inert bounds the leap instead
 (conservative, never wrong): tracer-enabled runs, idle backoff,
-non-primed cores, pending run-queue entries, and every fault lookahead
-barrier registered in ``scheduler.leap_barriers`` fall back to the slow
-path.
+non-primed cores and pending run-queue entries fall back to the slow
+path.  Every fault type is event-carried (see
+:class:`~repro.faults.plan.FaultPlan`), so queued events already bound a
+leap.
 
 When it is tried: the engine's run loop consults the leap at the first
 clock advance strictly past ``next_try``, the external event that
@@ -230,10 +231,6 @@ class QuiescenceLeap:
             b = hi + 1  # events at hi fire; hi+1 is the exclusive bound
             if t_stop is None or b < t_stop:
                 t_stop = b
-        for barrier in sched.leap_barriers:
-            t = barrier(engine.now)
-            if t is not None and (t_stop is None or t < t_stop):
-                t_stop = t
         if t_stop is None:
             # no external event and no bound: the slow path would spin
             # these carriers forever — preserve that behaviour

@@ -30,6 +30,7 @@ from repro.core.hierarchy import QueueFactory, QueueHierarchy
 from repro.core.leap import QuiescenceLeap
 from repro.core.queues import TaskQueue
 from repro.core.task import LTask, TaskState
+from repro.mem.cacheline import MemStats
 from repro.obs.histogram import Histogram
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.threads.flag import Flag
@@ -115,6 +116,10 @@ class PIOMan:
         #: names for anonymous tasks' completion flags (id() would leak
         #: heap addresses into names, which must be process-independent)
         self._anon_seq = 0
+        #: coherence counters shared by every completion flag's line: no
+        #: registry path reads them, and one object per task would be
+        #: kept alive as long as the task
+        self._flag_stats = MemStats()
         # Bound-method caches for the per-pass histogram records: every
         # Algorithm-1 pass ends in exactly one of these, and the two
         # attribute hops per call are measurable at scan frequency.
@@ -126,37 +131,19 @@ class PIOMan:
         # Occupancy-summary fast path (see schedule_once): per-core tables
         # precomputed so the primed empty pass touches no queue objects.
         # _fast_pairs replays the probe counters of a settled-empty path
-        # ((queue stats, line stats) per level), _fast_compute is the
+        # ((queue stats, line stats) per level), and _fast_compute is the
         # reusable batched-cost instruction (instructions are read-only to
-        # the interpreter, like the idle loop's reused instances), and
-        # _scan_entries carries the per-queue replay tuple for the dequeue
-        # loop: (queue, bit, queue stats, line, line stats, replayable).
+        # the interpreter, like the idle loop's reused instances).
         self.summary_fastpath = bool(summary_fastpath)
         local_ns = machine.spec.local_ns
-        self._local_ns = local_ns
-        self._xfer_m = machine._xfer
         self._scan_masks = self.hierarchy.scan_masks
         self._fast_pairs = []
         self._fast_compute = []
-        self._scan_entries = []
         for path in self._scan_paths:
             self._fast_pairs.append(
                 [(q.stats, q.state_line.stats) for q in path]
             )
             self._fast_compute.append(Compute(len(path) * local_ns))
-            self._scan_entries.append(
-                [
-                    (
-                        q,
-                        q._bitmask,
-                        q.stats,
-                        q.state_line,
-                        q.state_line.stats,
-                        type(q).replayable_empty_scan,
-                    )
-                    for q in path
-                ]
-            )
         # One tuple load per fast_pass call instead of five attribute
         # chains (stats, summary stats, pairs, batched instruction).
         self._fast_ctx = [
@@ -238,6 +225,7 @@ class PIOMan:
         task.completion = Flag(
             self.machine, self.engine, home=core,
             name=f"done:{task.name or f'anon{self._anon_seq}'}",
+            stats=self._flag_stats,
         )
         task.submit_time = self.engine.now
         return self.hierarchy.queue_for_cpuset(task.cpuset)
@@ -382,18 +370,21 @@ class PIOMan:
         Returns ``(ran, repeats, contended)``: tasks executed this pass,
         how many of them reported "not complete" and were re-enqueued, and
         whether the pass locked a visibly non-empty queue only to find it
-        drained (lost a dequeue race to another core).
+        drained (lost a dequeue race).  ``contended`` reads the queue's
+        ``lost_races``, which every core shares, across a ``get_task``
+        that yields, so another core's lost race in between counts too.
 
         The occupancy-summary fast path (``summary_fastpath``, default on)
         answers the all-empty pass — the steady state of every idle core —
         in O(1): once a pass proves the whole path settled-empty (every
-        probe saw empty *and* the summary agrees, so no stale window can
-        be hiding work), the core's bit in ``hierarchy.primed_mask`` is
-        set, and the *next* pass replays the identical batched probe cost
-        and counters without touching a queue.  Any write to a covered
-        queue clears the bit, so the replay is provably what the slow walk
-        would have done — metrics, trace and virtual timeline stay
-        bit-identical with the fast path on or off.
+        probe saw empty *and* the summary agrees; inside a drain's stale
+        window a probe reads non-empty), the core's bit in
+        ``hierarchy.primed_mask`` is set, and the *next* pass replays the
+        identical batched probe cost and counters without touching a
+        queue.  Any write to a covered queue clears the bit.  A pass that
+        sees work walks every level through :meth:`TaskQueue.get_task`
+        either way, so only the ``.summary.`` counters differ with the
+        fast path on or off.
         """
         ran = 0
         repeats = 0
@@ -437,33 +428,8 @@ class PIOMan:
         if not any_hot:
             self._rec_pass_empty(engine.now - pass_start)
             return 0, 0, False
-        local_ns = self._local_ns
-        xfer_m = self._xfer_m
-        for queue, qbit, qstats, line, lstats, replayable in self._scan_entries[core]:
-            if (
-                fast_on
-                and replayable
-                and not hier.summary & qbit
-                and engine.now >= queue._quiet_after
-            ):
-                # Settled-empty level on a hot pass: ``get_task`` would
-                # probe (visible == actual == empty once the last
-                # transition's slowest invalidation has landed), charge
-                # the read, and bail before the lock.  Replay exactly
-                # that — including the coherence side effect — and move
-                # to the next level.
-                lstats.reads += 1
-                if line.sharers >> core & 1:
-                    lstats.read_hits += 1
-                    cost = local_ns
-                else:
-                    lstats.read_misses += 1
-                    cost = xfer_m[line.owner][core]
-                    lstats.transfer_ns_total += cost
-                    line.sharers |= 1 << core
-                qstats.empty_checks += 1
-                yield Compute(cost)
-                continue
+        for queue in path:
+            qstats = queue.stats
             self._poll_stamp += 1
             stamp = self._poll_stamp
             while True:

@@ -61,15 +61,6 @@ class QueueStats:
 class TaskQueue:
     """One spinlock-protected task list bound to a topology node."""
 
-    #: Whether an idle scan of this queue while it is *settled-empty*
-    #: (actually empty and past every core's stale window) is a pure
-    #: probe — one emptiness read, no lock traffic — so the hierarchy's
-    #: occupancy-summary fast path may replay that probe's exact cost and
-    #: counters without calling :meth:`get_task`.  True for Algorithm-2
-    #: queues (the probe short-circuits before the lock); the always-lock
-    #: ablation locks even when empty, so it opts out.
-    replayable_empty_scan = True
-
     def __init__(
         self,
         machine: "Machine",
@@ -126,21 +117,6 @@ class TaskQueue:
         self._board: Any = None
         self._bitmask = 0
         self._keep_primed = -1
-        # The settle deadline of the last transition: once ``engine.now``
-        # reaches it, the slowest core's invalidation has landed, so every
-        # core's ``_visible_nonempty`` equals the actual emptiness.
-        self._quiet_after = -(10**12)
-        self._max_inval = [max(row) for row in machine._inval]
-
-    def _visible_nonempty(self, core: int) -> bool:
-        """Emptiness as observed by ``core`` (stale within one transfer)."""
-        actual = bool(self._tasks)
-        if core == self._trans_writer:
-            return actual
-        lag = self._inval_m[self._trans_writer][core]
-        if self.engine.now < self._trans_time + lag:
-            return self._prev_nonempty
-        return actual
 
     def attach_summary(self, board: Any, bitmask: int, keep_primed: int) -> None:
         """Wire this queue into a hierarchy's occupancy summary.
@@ -161,17 +137,16 @@ class TaskQueue:
             board.primed_mask &= self._keep_primed
 
     def _note_transition(self, core: int, prev_nonempty: bool) -> None:
-        now = self.engine.now
-        self._trans_time = now
+        self._trans_time = self.engine.now
         self._trans_writer = core
         self._prev_nonempty = prev_nonempty
-        self._quiet_after = now + self._max_inval[core]
         board = self._board
         if board is not None:
             # ``summary`` tracks the *actual* emptiness exactly: a
             # transition with prev_nonempty=True just drained the queue,
             # one with prev_nonempty=False is about to make it non-empty.
-            # Staleness lives entirely in ``_quiet_after``/``primed_mask``.
+            # Staleness lives in the probe's transition window and in
+            # ``primed_mask``.
             if prev_nonempty:
                 board.summary &= ~self._bitmask
             else:
@@ -191,8 +166,6 @@ class TaskQueue:
         pays the transfer miss.  The caller charges the cost (so a full
         scan of empty queues can be charged as one batch).
         """
-        # _visible_nonempty inlined: this is the single hottest queue
-        # operation (every queue on every scan path, every keypoint).
         actual = True if self._tasks else False
         writer = self._trans_writer
         if core == writer:
@@ -223,12 +196,6 @@ class TaskQueue:
         else:
             stats.empty_checks += 1
         return visible, cost
-
-    def peek_nonempty(self, core: int) -> Generator[Instr, Any, bool]:
-        """The lock-free emptiness probe (first check of Algorithm 2)."""
-        visible, cost = self.probe(core)
-        yield Compute(cost)
-        return visible
 
     def enqueue(self, core: int, task: LTask) -> Generator[Instr, Any, None]:
         """Append a task under the queue lock (thread-context generator)."""
@@ -291,7 +258,6 @@ class TaskQueue:
 
     def get_task(self, core: int) -> Generator[Instr, Any, Optional[LTask]]:
         """Algorithm 2: double-checked dequeue."""
-        # peek_nonempty inlined: avoids a sub-generator per scan
         nonempty, cost = self.probe(core)
         yield Compute(cost)
         if not nonempty:
@@ -404,9 +370,6 @@ class AlwaysLockTaskQueue(TaskQueue):
     against concurrent access": idle cores scanning empty queues now
     generate constant lock traffic.
     """
-
-    #: an empty scan still takes the lock here — never replay it as a probe
-    replayable_empty_scan = False
 
     def get_task(self, core: int) -> Generator[Instr, Any, Optional[LTask]]:
         yield self._acquire

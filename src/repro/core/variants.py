@@ -88,13 +88,7 @@ class LockFreeTaskQueue(TaskQueue):
         yield Compute(self._rmw_cost(core))
         if task.state is TaskState.CANCELLED:
             return  # never resurrect a cancelled task (see TaskQueue.enqueue)
-        if not self._tasks:
-            self._note_transition(core, prev_nonempty=False)
-        self._tasks.append(task)
-        task.state = TaskState.QUEUED
-        self.stats.enqueues += 1
-        if len(self._tasks) > self.stats.max_len:
-            self.stats.max_len = len(self._tasks)
+        self._append(core, task)
 
     def get_task(self, core: int) -> Generator[Instr, Any, Optional[LTask]]:
         nonempty, cost = self.probe(core)
@@ -106,8 +100,7 @@ class LockFreeTaskQueue(TaskQueue):
         if task is not None:
             if not self._tasks:
                 self._note_transition(core, prev_nonempty=True)
-            self.stats.dequeues += 1
-            self.stats.dequeued_by[core] = self.stats.dequeued_by.get(core, 0) + 1
+            self._note_dequeued(core, task)
             return task
         if not self._tasks:
             self.stats.lost_races += 1

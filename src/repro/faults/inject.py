@@ -115,9 +115,6 @@ class FaultInjector:
         if scheduler is not None:
             if self.engine is None:
                 self.engine = scheduler.engine
-            # the quiescence leap consults this before crossing virtual
-            # time in one step (see FaultPlan.leap_barrier)
-            scheduler.leap_barriers.append(self.leap_barrier)
             if self.plan.slow_cores is not None:
                 table = self._skew_table(len(scheduler.cores))
                 scheduler.core_skew = table
@@ -140,10 +137,6 @@ class FaultInjector:
         if registry is not None:
             registry.register("faults", self.stats)
         return self
-
-    def leap_barrier(self, now: int):
-        """Quiescence-leap lookahead barrier (delegates to the plan)."""
-        return self.plan.leap_barrier(now)
 
     # ------------------------------------------------------------------
     # (a) NIC drop / reorder + timeout retransmit

@@ -107,7 +107,17 @@ class CancelStorm:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One seeded description of everything that goes wrong in a run."""
+    """One seeded description of everything that goes wrong in a run.
+
+    Every fault type is event-carried: net draws happen inside NIC
+    transmit events, lock-preemption draws inside lock-grant events,
+    cancel storms post their own tick events, and slow-core skew is a
+    static table applied per interpreted Compute (no draw at all).  So
+    queued events already bound a quiescence leap
+    (``Engine.next_external_time``).  A fault type that acted on a
+    cadence of its own, outside the event queue, would vanish inside
+    leaps unless it bounded them too.
+    """
 
     seed: int = 0
     net: Optional[NetFaults] = None
@@ -123,22 +133,3 @@ class FaultPlan:
             or self.lock_preemption is not None
             or self.cancel_storm is not None
         )
-
-    def leap_barrier(self, now: int) -> Optional[int]:
-        """Earliest future time an enabled fault stream could act
-        *outside* the event queue, or None if there is no such time.
-
-        The quiescence leap (:mod:`repro.core.leap`) never advances
-        virtual time across a returned barrier.  Every fault type in
-        this plan is **event-carried**: net draws happen inside NIC
-        transmit events, lock-preemption draws inside lock-grant events,
-        cancel storms post their own tick events, and slow-core skew is
-        a static table applied per interpreted Compute (no draw at all).
-        Event-carried activity already bounds the leap through
-        ``Engine.next_external_time``, so the honest answer is None —
-        but the hook is the contract point: a future fault type that
-        samples on a wall-clock cadence rather than riding an event MUST
-        surface its next sample time here or it would silently vanish
-        inside leaps.
-        """
-        return None

@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MemStats:
     """Aggregate coherence-traffic counters (shared by related lines).
 
-    Slotted: every completion flag's line carries one, so a dict per
-    instance would be paid once per submitted task.
+    Slotted: a line built without a shared stats object makes its own,
+    so a dict per instance would be paid once per such line.
     """
 
     reads: int = 0
@@ -41,20 +41,6 @@ class MemStats:
     write_hits: int = 0
     invalidations: int = 0
     transfer_ns_total: int = 0
-
-    def merge(self, other: "MemStats") -> "MemStats":
-        out = MemStats()
-        for f in (
-            "reads",
-            "read_hits",
-            "read_misses",
-            "writes",
-            "write_hits",
-            "invalidations",
-            "transfer_ns_total",
-        ):
-            setattr(out, f, getattr(self, f) + getattr(other, f))
-        return out
 
 
 class CacheLine:

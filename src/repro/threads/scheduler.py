@@ -235,13 +235,6 @@ class Scheduler:
         #: :meth:`repro.faults.FaultInjector.install`; None (the default)
         #: leaves the interpreter's instruction stream untouched.
         self.core_skew: Optional[list] = None
-        #: lookahead barriers consulted by the quiescence leap
-        #: (:mod:`repro.core.leap`): callables ``barrier(now) ->
-        #: Optional[int]`` returning the earliest future time an
-        #: installed subsystem (e.g. a fault injector) could act outside
-        #: the event queue, or None when all its activity is
-        #: event-carried.  The leap never crosses a returned time.
-        self.leap_barriers: list = []
         self._seq = 0
         self._rr_seq = 0
         #: timer quantum cached off the (immutable) spec: read once per

@@ -49,16 +49,16 @@ def test_remove_last_task_notes_emptiness_transition():
     t = _task(m)
     q.enqueue_nowait(q.home, t)
     far = m.ncores - 1
-    assert q._visible_nonempty(q.home)
+    assert q.probe(q.home)[0]
     assert q.remove(t) is True
     # the home core (the attributed writer) sees the drain immediately...
-    assert not q._visible_nonempty(q.home)
+    assert not q.probe(q.home)[0]
     # ...while a distant core still reads its stale non-empty copy until
     # the invalidation propagates
-    assert q._visible_nonempty(far)
+    assert q.probe(far)[0]
     eng.post(m.inval(q.home, far), lambda: None)
     eng.run()
-    assert not q._visible_nonempty(far)
+    assert not q.probe(far)[0]
 
 
 def test_remove_nonlast_task_keeps_visibility():
@@ -69,4 +69,4 @@ def test_remove_nonlast_task_keeps_visibility():
     before = q._trans_time
     assert q.remove(a) is True
     assert q._trans_time == before  # no transition: still non-empty
-    assert q._visible_nonempty(q.home)
+    assert q.probe(q.home)[0]

@@ -7,6 +7,8 @@ from repro.core.task import LTask, TaskState
 from repro.core.variants import LockFreeTaskQueue, MutexTaskQueue
 from repro.sim.engine import Engine
 from repro.sim.rng import Rng
+from repro.sim.trace import Tracer
+from repro.threads.instructions import Compute
 from repro.threads.scheduler import Scheduler
 from repro.topology.builder import borderline, kwak
 from repro.topology.cpuset import CpuSet
@@ -113,12 +115,12 @@ def test_stale_visibility_window():
     # enqueue transition at t=0 by core 0 (host-level manipulation)
     q._note_transition(0, prev_nonempty=False)
     q._tasks.append(_mktask({0}))
-    assert q._visible_nonempty(0) is True  # the writer
-    assert q._visible_nonempty(15) is False  # stale: inval not arrived
+    assert q.probe(0)[0] is True  # the writer
+    assert q.probe(15)[0] is False  # stale: inval not arrived
     # after the invalidation window the truth is visible everywhere
     eng.schedule(machine.inval(0, 15) + 1, lambda: None)
     eng.run()
-    assert q._visible_nonempty(15) is True
+    assert q.probe(15)[0] is True
 
 
 def test_stale_nonempty_leads_to_lost_race():
@@ -210,6 +212,30 @@ def test_dequeued_by_counts():
     t2 = sched.spawn(body(3), 3)
     eng.run()
     assert q.stats.dequeued_by == {0: 1, 3: 1}
+
+
+@pytest.mark.parametrize("factory", [TaskQueue, AlwaysLockTaskQueue, LockFreeTaskQueue, MutexTaskQueue])
+def test_round_trip_stamps_the_task_and_records_its_wait(factory):
+    """Every variant stamps the enqueue and the first poll, records the
+    queue wait of each dequeue and traces the submit -> enqueue edge."""
+    machine = kwak()
+    q, eng, sched = _sched_queue(machine, factory)
+    q.tracer = Tracer(enabled=True)
+    task = _mktask({0})
+    task.submit_time = 0
+
+    def body(ctx):
+        yield from q.enqueue(0, task)
+        yield Compute(500)
+        return (yield from q.get_task(0))
+
+    t = sched.spawn(body, 0)
+    eng.run()
+    assert t.result is task
+    assert q.stats.dequeues == 1 and q.stats.wait_ns.count == q.stats.dequeues
+    assert task.enqueued_at is not None and task.first_polled_at is not None
+    assert task.first_polled_at - task.enqueued_at >= 500
+    assert [r.message for r in q.tracer.select("edge")] == ["edge:submit T:t/sub -> T:t/enq"]
 
 
 def test_lockfree_rmw_penalty_under_bursts():

@@ -80,14 +80,6 @@ def test_stats_accumulate():
     assert stats.invalidations == 2  # cores 0 and 1 lost their copies
 
 
-def test_stats_merge():
-    a, b = MemStats(), MemStats()
-    a.reads, b.reads = 3, 4
-    a.transfer_ns_total, b.transfer_ns_total = 10, 20
-    merged = a.merge(b)
-    assert merged.reads == 7 and merged.transfer_ns_total == 30
-
-
 def test_shared_stats_object_across_lines():
     stats = MemStats()
     m = kwak()

@@ -2,7 +2,8 @@
 
 A completed task stays referenced for as long as its owner keeps it (a
 packet wrapper, a benchmark's task list), together with its completion
-flag, the flag's cache line and the line's statistics.  These tests pin
+flag and the flag's cache line; the line's statistics are one object
+shared by every completion flag of the manager.  These tests pin
 the shape of that state and bound its size, so per-task allocations do
 not creep back in.
 """
@@ -23,11 +24,13 @@ from repro.topology.cpuset import CpuSet
 
 #: tasks in the measured world
 NTASKS = 500
-#: bytes retained per completed task.  This world measures 502 B on
-#: CPython 3.11, 494 B on 3.12 and 3.13 and 582 B on 3.10; it measured
-#: 1,044 B (1,193 B on 3.10) when every line held a ``set`` of sharers,
-#: every ``MemStats`` a ``__dict__``, every flag two waiter lists and
-#: every task a per-core dict.  The bound is 27% over the 3.11 figure.
+#: bytes retained per completed task.  This world measures 424 B on
+#: CPython 3.11 since a manager's completion flags share one
+#: ``MemStats``.  With one per flag it measured 502 B on 3.11, 494 B on
+#: 3.12 and 3.13 and 582 B on 3.10, and 1,044 B (1,193 B on 3.10) when
+#: every line held a ``set`` of sharers, every ``MemStats`` a
+#: ``__dict__``, every flag two waiter lists and every task a per-core
+#: dict.  The bound is 27% over the old 3.11 figure.
 MAX_BYTES_PER_TASK = 640
 
 
@@ -72,6 +75,13 @@ def _world(ntasks):
 
     sched.spawn(body, 0)
     return eng, tasks
+
+
+def test_completion_lines_share_one_stats_object():
+    eng, tasks = _world(2)
+    eng.run()
+    a, b = (t.completion.line for t in tasks)
+    assert a is not b and a.stats is b.stats
 
 
 def test_memory_retained_per_completed_task_is_bounded():

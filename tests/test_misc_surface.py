@@ -89,4 +89,4 @@ def test_enqueue_nowait_transitions():
     task = LTask(None, cpuset=m.all_cores(), name="h")
     q.enqueue_nowait(0, task)
     assert len(q) == 1 and q.stats.enqueues == 1
-    assert q._visible_nonempty(0) is True  # writer sees it immediately
+    assert q.probe(0)[0] is True  # writer sees it immediately
