@@ -419,6 +419,8 @@ def run_sharded(
             f"cluster drained at t={max(f['now'] for f in finals)} ns with "
             f"{blocked} actor(s) still blocked (across {nshards} shard(s))"
         )
+    # the shards' snapshots go as they are merged: none outlives the union
+    snapshot = union_snapshots([final.pop("snapshot") for final in finals])
     trace_fp, trace_n = _merge_trace(finals)
     return ShardRunResult(
         nshards=nshards,
@@ -429,7 +431,7 @@ def run_sharded(
         windows=windows,
         lookahead_ns=lookahead,
         wall_ms=wall_ms,
-        snapshot=union_snapshots([final["snapshot"] for final in finals]),
+        snapshot=snapshot,
         trace_fingerprint=trace_fp,
         trace_records=trace_n,
         maxrss_kb=[

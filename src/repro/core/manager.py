@@ -395,10 +395,12 @@ class PIOMan:
         fast_on = self.summary_fastpath
         if fast_on:
             # O(1) empty pass when the path is settled-empty and nothing
-            # was written since it was proven so (see fast_pass)
-            instr = self.fast_pass(core)
-            if instr is not None:
-                yield instr
+            # was written since it was proven so (see fast_pass).  The
+            # primed bit is tested here rather than by calling fast_pass:
+            # the idle loop has just asked fast_pass at this instant, and
+            # comes here only when it answered None.
+            if hier.primed_mask >> core & 1:
+                yield self.fast_pass(core)
                 self._rec_pass_empty(engine.now - pass_start)
                 return 0, 0, False
             if hier.summary & self._scan_masks[core]:

@@ -9,7 +9,10 @@ into a :class:`Histogram` with power-of-two buckets (HDR-histogram style):
 
 * bucket ``i`` holds samples whose ``bit_length`` is ``i`` — i.e. the
   value range ``[2**(i-1), 2**i - 1]`` (bucket 0 holds exactly 0);
-* recording is O(1) and allocation-free after the first sample;
+* the bucket list starts empty and grows on demand up to the largest
+  sample's bucket, so a histogram that records nothing holds no buckets
+  (a cluster world builds a score of them per node); recording is
+  O(1) and allocates only when a sample lands beyond every bucket so far;
 * percentiles are resolved to the bucket upper bound, clamped into the
   exact observed ``[min, max]``, which bounds the relative error of any
   quantile by 2x — plenty for nanosecond latency work;
@@ -39,13 +42,8 @@ class Histogram:
 
     __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
 
-    #: buckets preallocated at construction: covers values up to
-    #: ``2**_PREALLOC - 1`` without a bounds check on the hot record path
-    #: (68 bits > any nanosecond quantity a simulation can produce)
-    _PREALLOC = 68
-
     def __init__(self) -> None:
-        self._buckets: list[int] = [0] * self._PREALLOC
+        self._buckets: list[int] = []
         self._count = 0
         self._sum = 0
         self._min = 0
@@ -59,7 +57,7 @@ class Histogram:
             v = 0
         try:
             self._buckets[v.bit_length()] += 1
-        except IndexError:  # beyond the preallocated range: grow once
+        except IndexError:  # beyond the largest bucket so far: grow
             buckets = self._buckets
             buckets.extend([0] * (v.bit_length() + 1 - len(buckets)))
             buckets[v.bit_length()] += 1
@@ -93,7 +91,7 @@ class Histogram:
             v = 0
         try:
             self._buckets[v.bit_length()] += k
-        except IndexError:  # beyond the preallocated range: grow once
+        except IndexError:  # beyond the largest bucket so far: grow
             buckets = self._buckets
             buckets.extend([0] * (v.bit_length() + 1 - len(buckets)))
             buckets[v.bit_length()] += k

@@ -8,6 +8,7 @@ any shard order.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 Number = Union[int, float]
@@ -24,14 +25,23 @@ def union_snapshots(
     snapshot.  A path appearing in two shards means the partitioning
     leaked — that is a :class:`ValueError`, never a silent sum.  Keys
     are sorted, so any shard order yields the same dict.
+
+    The union is built straight from the sorted paths, each value read
+    from the shard that holds it: no intermediate dict and no list of
+    ``(path, value)`` pairs, so a merge holds little beyond its inputs
+    and its result.
     """
+    shards = list(snapshots)
     merged: dict[str, Number] = {}
-    for i, snap in enumerate(snapshots):
-        for path, value in snap.items():
-            if path in merged:
-                raise ValueError(
-                    f"counter path {path!r} appears in more than one shard "
-                    f"(second occurrence in shard {i})"
-                )
-            merged[path] = value
-    return dict(sorted(merged.items()))
+    for path in sorted(chain.from_iterable(shards)):
+        if path in merged:
+            second = [i for i, snap in enumerate(shards) if path in snap][1]
+            raise ValueError(
+                f"counter path {path!r} appears in more than one shard "
+                f"(second occurrence in shard {second})"
+            )
+        for snap in shards:
+            if path in snap:
+                merged[path] = snap[path]
+                break
+    return merged

@@ -176,7 +176,8 @@ class MetricsRegistry:
         for path, source in self._sources.items():
             for name, value in _scrape(source).items():
                 _flatten(f"{path}.{name}", value, flat)
-        return dict(sorted(flat.items()))
+        # sorting the keys, not the items, builds no (key, value) tuples
+        return {key: flat[key] for key in sorted(flat)}
 
     @staticmethod
     def diff(before: Mapping[str, Number], after: Mapping[str, Number]) -> dict[str, Number]:

@@ -18,15 +18,17 @@ Design choices, in order of importance:
   without ``fork`` (Windows, some macOS configs) runs the same specs
   in-process, in order, through the very same :meth:`JobSpec.run` the
   workers use.
+* **Fork machinery on demand.**  :mod:`multiprocessing` loads where a
+  pool forks or waits, not when this module is imported: a process that
+  never forks (a serial run, the simulator itself) never holds it, and a
+  forking one loads it just before the fork, so its children inherit it.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from multiprocessing import connection as mp_connection
 from typing import Optional, Sequence
 
 from repro.par.jobs import JobFailure, JobResult, JobSpec
@@ -39,7 +41,17 @@ _CRASH_RETRIES = 1
 
 def has_fork() -> bool:
     """Whether this platform supports the ``fork`` start method."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _wait(conns: list, timeout: Optional[float]) -> list:
+    """The pool's one wait on its workers' pipes: the connections ready
+    to read (:func:`multiprocessing.connection.wait`)."""
+    from multiprocessing import connection
+
+    return connection.wait(conns, timeout=timeout)
 
 
 def check_timeout(timeout_s: Optional[float]) -> None:
@@ -167,6 +179,8 @@ def run_jobs(
         return _run_serial(specs)
     workers = min(jobs, len(specs))
 
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     results: list[Optional[JobResult]] = [None] * len(specs)
     pending: list[tuple[int, int]] = [(i, 1) for i in range(len(specs))]
@@ -223,7 +237,7 @@ def run_jobs(
             now = time.monotonic()
             deadlines = [d for (_, _, _, d) in running.values() if d is not None]
             wait_s = max(0.0, min(deadlines) - now) if deadlines else None
-            ready = mp_connection.wait(list(running), timeout=wait_s)
+            ready = _wait(list(running), wait_s)
             for conn in ready:
                 proc, index, attempt, deadline = running.pop(conn)
                 spec = specs[index]

@@ -37,7 +37,6 @@ and the call arguments, never on scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from typing import Any, Optional, Sequence
@@ -141,7 +140,8 @@ class ShardPool:
         self.specs = list(specs)
         self.n = len(specs)
         self.timeout_s = timeout_s
-        self.serial = bool(serial) or not has_fork()
+        # a single state is hosted like a serial pool's: nothing forks
+        self.serial = bool(serial) or self.n == 1 or not has_fork()
         self.reply_wait_s = 0.0
         self._closed = False
         self._poisoned: Optional[str] = None
@@ -152,6 +152,8 @@ class ShardPool:
         hosted = range(self.n) if self.serial else range(1)
         try:
             if not self.serial:
+                import multiprocessing
+
                 ctx = multiprocessing.get_context("fork")
                 for i in range(1, self.n):
                     parent_end, child_end = ctx.Pipe(duplex=True)

@@ -32,9 +32,6 @@ class Rng:
         """Derive an independent deterministic sub-stream."""
         return Rng((self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._r.uniform(lo, hi)
-
     def randint(self, lo: int, hi: int) -> int:
         return self._r.randint(lo, hi)
 

@@ -110,26 +110,30 @@ class _NullTracer(Tracer):
     across unrelated simulations).  ``enabled`` is therefore a read-only
     ``False`` — construct a real ``Tracer(enabled=True)`` and pass it
     explicitly instead — and ``emit`` is a hard no-op either way.
+
+    ``enabled`` is a plain class attribute, not a property: every
+    ``if tracer.enabled:`` on a default tracer reads it, and a property
+    would make each of those reads a Python call.  ``__setattr__``
+    refuses the assignment instead.
     """
 
+    enabled = False
+
     def __init__(self) -> None:
-        # Tracer.__init__ assigns ``self.enabled``, which the read-only
-        # property below rejects; set the remaining state directly.
+        # Tracer.__init__ assigns ``self.enabled``, which __setattr__
+        # below rejects; set the remaining state directly.
         self.limit = None
         self.records = []
         self.dropped = 0
         self.cursor = None
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        raise AttributeError(
-            "NULL_TRACER is the shared process-wide default and cannot be "
-            "enabled; construct a Tracer(enabled=True) and pass it explicitly"
-        )
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "enabled":
+            raise AttributeError(
+                "NULL_TRACER is the shared process-wide default and cannot be "
+                "enabled; construct a Tracer(enabled=True) and pass it explicitly"
+            )
+        super().__setattr__(name, value)
 
     def emit(self, *args: Any, **data: Any) -> None:
         return None

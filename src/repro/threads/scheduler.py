@@ -216,8 +216,12 @@ class Scheduler:
         #: ``progression_fast_done(ns)`` records the realized pass span.
         self.progression_fast: Optional[Callable[[int], Optional[Instr]]] = None
         self.progression_fast_done: Optional[Callable[[int], None]] = None
-        #: randomness source for doorbell probe phases (see ring_doorbell)
-        self.rng = rng if rng is not None else Rng(0)
+        #: doorbell probe phases (see ring_doorbell) draw from ``rng``'s
+        #: stream: its bare ``random`` and the cycle it scales to.
+        #: ``random.Random.uniform(0.0, c)`` computes ``0.0 + c * random()``,
+        #: so their product is that draw, bit for bit, in one C call
+        self._ring_random = (rng if rng is not None else Rng(0))._r.random
+        self._probe_cycle = float(machine.spec.probe_cycle_ns)
         #: validation mode: idle cores literally re-scan every probe cycle
         #: instead of parking on doorbells.  Orders of magnitude more
         #: events — only for checking the doorbell model's equivalence on
@@ -426,7 +430,7 @@ class Scheduler:
         ``cause`` is an optional ``(node_id, cause_ns)`` causal-trace
         origin carried to the arrival; when it is None the posted event is
         identical to the untraced one."""
-        phase = self.rng.uniform(0.0, float(self.machine.spec.probe_cycle_ns))
+        phase = self._probe_cycle * self._ring_random()
         # A probe cannot observe the write before the invalidation reaches
         # this core: the ring lands no earlier than that propagation
         # (``notice`` is the precomputed max of transfer and invalidation).

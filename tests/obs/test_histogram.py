@@ -1,8 +1,12 @@
 """Histogram: bucketing, percentiles, merge, registry scraping."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry
+from repro.obs.histogram import PERCENTILES
 
 
 def test_empty_histogram():
@@ -151,7 +155,7 @@ def test_record_many_clamps_and_truncates_like_record():
     assert _state(a) == _state(b)
 
 
-def test_record_many_grows_buckets_beyond_prealloc():
+def test_record_many_grows_buckets_for_a_huge_sample():
     huge = 1 << 100
     a, b = Histogram(), Histogram()
     a.record_many(huge, 7)
@@ -159,6 +163,81 @@ def test_record_many_grows_buckets_beyond_prealloc():
         b.record(huge)
     assert _state(a) == _state(b)
     assert a.max == huge and a.count == 7
+
+
+#: percentiles the random-sample comparison checks besides the exported ones
+CHECKED_PERCENTILES = (0, 1, 10, 25, 33.3, 50, 75, 95, 99.99, 100) + PERCENTILES
+
+
+def _bucket(v):
+    """(lo, hi) of the power-of-two bucket holding ``v``."""
+    i = v.bit_length()
+    return ((1 << (i - 1)) if i else 0, (1 << i) - 1 if i else 0)
+
+
+def _reference(samples):
+    """What a histogram of ``samples`` must report, computed from the
+    sorted samples: each quantile is the bucket upper bound of the
+    sample at its rank, clamped into the observed range."""
+    ordered = sorted(samples)
+    n, lo, hi = len(ordered), ordered[0], ordered[-1]
+    counts = Counter(_bucket(v) for v in ordered)
+    buckets = [(b[0], b[1], counts[b]) for b in sorted(counts)]
+
+    def percentile(p):
+        rank = max(1, -(-n * p // 100))  # the histogram's rank rule
+        return min(max(_bucket(ordered[int(rank) - 1])[1], lo), hi)
+
+    metrics = {"count": n, "min": lo, "max": hi, "mean": sum(ordered) / n}
+    for p in PERCENTILES:
+        metrics["p" + format(p, "g").replace(".", "")] = percentile(p)
+    return metrics, buckets, [percentile(p) for p in CHECKED_PERCENTILES]
+
+
+def _report(h):
+    return h.to_metrics(), h.buckets(), [h.percentile(p) for p in CHECKED_PERCENTILES]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_samples_match_a_reference_over_the_sorted_samples(seed):
+    """Samples from 0 up to 2**100, log-uniform so every bucket size
+    occurs, recorded three ways: one by one, as ``record_many`` runs of
+    equal values, and as a merge of histograms whose bucket lists
+    differ in length.  Buckets grow on demand, so each way must end in
+    the reference's report."""
+    rng = random.Random(seed)
+    pool = [rng.getrandbits(rng.randint(0, 100)) for _ in range(80)]
+    samples = [rng.choice(pool) for _ in range(1500)]
+    expected = _reference(samples)
+
+    one_by_one = Histogram()
+    for v in samples:
+        one_by_one.record(v)
+    assert _report(one_by_one) == expected
+
+    runs = list(Counter(samples).items())
+    rng.shuffle(runs)
+    batched = Histogram()
+    for v, k in runs:
+        batched.record_many(v, k)
+    assert _report(batched) == expected
+
+    # parts split by magnitude hold bucket lists of different lengths;
+    # fold them in both directions: short into long and long into short
+    ordered = sorted(samples)
+    cuts = sorted(rng.sample(range(1, len(ordered)), 3))
+    parts = []
+    for a, b in zip([0] + cuts, cuts + [len(ordered)]):
+        part = Histogram()
+        for v in ordered[a:b]:
+            part.record(v)
+        parts.append(part)
+    assert len({len(part._buckets) for part in parts}) > 1
+    for order in (parts, parts[::-1]):
+        merged = Histogram()
+        for part in order:
+            merged.merge(part)
+        assert _report(merged) == expected
 
 
 def test_registry_scrapes_histogram_directly_and_nested():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.manager import PIOMan
 from repro.core.queues import QueueStats
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, union_snapshots
 from repro.sim.engine import Engine
 from repro.sync.stats import LockStats
 from repro.threads.scheduler import Scheduler
@@ -32,6 +32,20 @@ def test_snapshot_includes_numeric_properties():
     assert snap["lock.contention_ratio"] == pytest.approx(0.5)
     assert snap["lock.acquires"] == 2
     assert snap["lock.per_core_acquires.1"] == 1
+
+
+def test_snapshot_and_shard_union_are_in_sorted_path_order():
+    reg = MetricsRegistry()
+    reg.register("b", {"z": 1, "a": 2})
+    reg.register("a", {"y": 3})
+    assert list(reg.snapshot().items()) == [("a.y", 3), ("b.a", 2), ("b.z", 1)]
+    shards = [{"n1.x": 1, "n0.y": 2}, {"n2.a": 3, "n0.z": 4.5}]
+    expected = sorted({**shards[0], **shards[1]}.items())
+    for order in (shards, shards[::-1]):
+        assert list(union_snapshots(order).items()) == expected
+    with pytest.raises(ValueError, match=r"'n0.y' appears in more than one shard "
+                       r"\(second occurrence in shard 2\)"):
+        union_snapshots([shards[0], {"n3.q": 0}, {"n0.y": 9}])
 
 
 def test_callable_source_and_mapping_source():

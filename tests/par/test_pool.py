@@ -208,7 +208,6 @@ def test_finished_job_is_drained_not_discarded_at_deadline(monkeypatch):
     ``poll()`` drain at deadline-reap time.  Before the fix they were
     reported as timeouts with the finished value thrown away."""
     import time
-    import types
 
     from repro.par import pool as pool_mod
 
@@ -217,11 +216,9 @@ def test_finished_job_is_drained_not_discarded_at_deadline(monkeypatch):
         time.sleep(0.02 if timeout is None else min(timeout, 0.02))
         return []
 
-    # replace the pool's *module reference*, not connection.wait itself —
+    # replace the pool's wait seam, not connection.wait itself —
     # Connection.poll() routes through the real wait and must keep working
-    monkeypatch.setattr(
-        pool_mod, "mp_connection", types.SimpleNamespace(wait=blind_wait)
-    )
+    monkeypatch.setattr(pool_mod, "_wait", blind_wait)
     specs = [
         JobSpec(f"quick{i}", f"{HELPERS}:sleepy_echo", {"value": i, "seconds": 0.01})
         for i in range(2)

@@ -1,20 +1,26 @@
-"""What a submitted task keeps alive.
+"""What a submitted task and a cluster node keep alive.
 
 A completed task stays referenced for as long as its owner keeps it (a
 packet wrapper, a benchmark's task list), together with its completion
 flag and the flag's cache line; the line's statistics are one object
-shared by every completion flag of the manager.  These tests pin
-the shape of that state and bound its size, so per-task allocations do
+shared by every completion flag of the manager.  A cluster world keeps
+every node's stack, and each node holds a score of histograms that hold
+buckets only for the samples they saw.  These tests pin the shape of
+that state and bound its size, so per-task and per-node allocations do
 not creep back in.
 """
 
 import gc
 import tracemalloc
 
+from repro.cluster.cluster import ShardSpec
+from repro.cluster.workload import WorkloadSpec, build_workload_cluster
 from repro.core.manager import PIOMan
 from repro.core.progress import piom_wait
 from repro.core.task import LTask
 from repro.mem.cacheline import CacheLine, MemStats
+from repro.obs.histogram import Histogram
+from repro.par import derive_seed
 from repro.sim.engine import Engine
 from repro.sim.rng import Rng
 from repro.threads.flag import Flag
@@ -32,6 +38,12 @@ NTASKS = 500
 #: ``__dict__``, every flag two waiter lists and every task a per-core
 #: dict.  The bound is 27% over the old 3.11 figure.
 MAX_BYTES_PER_TASK = 640
+#: bytes a freshly built cluster world keeps per node: shard 0 of 2 of
+#: a 16-node incast spec shaped like the benchmark's ``cluster_sharded``.
+#: It measures 37,434 B on CPython 3.11 since histograms grow their
+#: buckets on demand, and measured 48,202 B when every histogram
+#: preallocated 68 buckets.  The bound is 25% over the current figure.
+MAX_BYTES_PER_NODE = 47_000
 
 
 def test_sharers_are_an_int_bitmask():
@@ -57,6 +69,13 @@ def test_tasks_keep_no_test_only_fields():
     assert not hasattr(task, "__dict__")
     for name in ("executed_by", "submit_core", "queue_name"):
         assert not hasattr(task, name)
+
+
+def test_an_empty_histogram_holds_no_buckets():
+    h = Histogram()
+    assert h._buckets == []
+    h.record(5)
+    assert len(h._buckets) == (5).bit_length() + 1
 
 
 def _world(ntasks):
@@ -99,3 +118,29 @@ def test_memory_retained_per_completed_task_is_bounded():
     assert all(t.completion._spinners is None for t in tasks)
     assert retained / NTASKS <= MAX_BYTES_PER_TASK, (
         f"{retained / NTASKS:.0f} B retained per completed task")
+
+
+def _cluster_world():
+    spec = WorkloadSpec(
+        nnodes=16, requests_per_node=8, pattern="incast", incast_fanin=8,
+        arrival="closed", mean_gap_ns=0, think_ns=100_000, size_bytes=1024,
+        collective_every=4, seed=derive_seed(7, "cluster_sharded"),
+    )
+    return build_workload_cluster(ShardSpec(0, 2), spec=spec, machine="smp1x2")
+
+
+def test_memory_kept_per_cluster_node_is_bounded():
+    _cluster_world()  # the first build fills the process's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cluster = _cluster_world()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nnodes = len(cluster.nodes)
+    assert nnodes == 8
+    assert kept / nnodes <= MAX_BYTES_PER_NODE, (
+        f"{kept / nnodes:.0f} B kept per cluster node")

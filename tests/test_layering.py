@@ -69,6 +69,35 @@ def test_pioman_loads_no_communication_stack():
     assert "repro.core.manager" in loaded
 
 
+#: what the benchmark's probe imports to wrap the shard pool and the leap
+POOL_IMPORT = (
+    "import repro.cluster.shard, repro.par.shardpool, repro.par.pool, "
+    "repro.core.leap"
+)
+
+
+def test_pools_load_no_fork_machinery_until_they_fork():
+    assert "multiprocessing" not in fresh(POOL_IMPORT)
+    # a serial batch and a one-state pool fork nothing either
+    serial = (
+        "from repro.par import JobSpec, ShardPool, run_jobs\n"
+        "spec = JobSpec('one', 'repro.par.jobs:derive_seed', "
+        "{'root_seed': 1, 'key': 'k'})\n"
+        "assert run_jobs([spec, JobSpec('two', spec.target, spec.kwargs)])[1].ok\n"
+        "with ShardPool([spec]) as pool:\n"
+        "    assert pool.pids == [None]"
+    )
+    assert "multiprocessing" not in fresh(serial)
+    # a forking batch loads it
+    forked = (
+        "from repro.par import JobSpec, run_jobs\n"
+        "specs = [JobSpec(n, 'repro.par.jobs:derive_seed', "
+        "{'root_seed': 1, 'key': n}) for n in 'ab']\n"
+        "assert all(r.ok and r.parallel for r in run_jobs(specs, jobs=2))"
+    )
+    assert "multiprocessing" in fresh(forked)
+
+
 def test_bench_cli_loads_no_numpy():
     loaded = fresh("import repro.bench.cli")
     assert "numpy" not in loaded
