@@ -67,6 +67,7 @@ serial reproducer.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
@@ -151,7 +152,22 @@ class ShardRunner:
 
     def finalize(self) -> dict:
         """End-of-run report: metrics, trace records, liveness, and the
-        host diagnostics (peak RSS, summed window compute seconds)."""
+        host diagnostics (peak RSS, summed window compute seconds).
+
+        The runner's last call: it then drops its world and collects it,
+        so the coordinator, which hosts shard 0, merges the reports in
+        the memory that world held.
+        """
+        report = self._report()
+        # Every reference goes, or the collection frees nothing: the
+        # engine, the fabric (whose remote sink points back here) and the
+        # masked deadlock reporters each reach the whole world.
+        self.cluster = self.engine = self.fabric = self._reporters = None
+        gc.collect()
+        report["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return report
+
+    def _report(self) -> dict:
         registry = getattr(self.cluster, "registry", None)
         snapshot = registry.snapshot() if registry is not None else {}
         tracer = getattr(self.cluster, "tracer", None)
@@ -179,7 +195,6 @@ class ShardRunner:
             "fired": self.engine.fired,
             "windows": self.windows,
             "compute_s": self.compute_s,
-            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
 
 

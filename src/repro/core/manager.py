@@ -33,7 +33,7 @@ from repro.core.task import LTask, TaskState
 from repro.mem.cacheline import MemStats
 from repro.obs.histogram import Histogram
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.threads.flag import Flag
+from repro.threads.flag import CompletionFlag
 from repro.threads.instructions import Compute, Instr, SetFlag
 from repro.threads.thread import Prio, TState
 
@@ -113,10 +113,10 @@ class PIOMan:
         self.latency = PIOManLatency()
         #: monotonic per-queue-scan stamp (see LTask.polled_stamp)
         self._poll_stamp = 0
-        #: names for anonymous tasks' completion flags (id() would leak
+        #: numbers anonymous tasks' completion flags (id() would leak
         #: heap addresses into names, which must be process-independent)
         self._anon_seq = 0
-        #: coherence counters shared by every completion flag's line: no
+        #: coherence counters shared by every completion flag: no
         #: registry path reads them, and one object per task would be
         #: kept alive as long as the task
         self._flag_stats = MemStats()
@@ -222,10 +222,9 @@ class PIOMan:
         stamp, and route the CPU set to its queue."""
         if not task.name:
             self._anon_seq += 1
-        task.completion = Flag(
+        task.completion = CompletionFlag(
             self.machine, self.engine, home=core,
-            name=f"done:{task.name or f'anon{self._anon_seq}'}",
-            stats=self._flag_stats,
+            name=task.name or self._anon_seq, stats=self._flag_stats,
         )
         task.submit_time = self.engine.now
         return self.hierarchy.queue_for_cpuset(task.cpuset)
@@ -521,6 +520,9 @@ class PIOMan:
             return False
         task.state = TaskState.DONE
         task.complete_time = self.engine.now
+        # Stamps are compared only within one pass and start at 1: a
+        # finished task keeps the shared 0 instead of its pass's int.
+        task.polled_stamp = 0
         if task.submit_time is not None:
             self.latency.submit_to_complete.record(
                 self.engine.now - task.submit_time

@@ -119,7 +119,8 @@ class LTask:
         #: scan-pass stamp: equals the manager's current per-queue poll
         #: stamp iff this task was already polled in that scan (dedup must
         #: not key on ``id()`` — a freed task's address can be reused by a
-        #: new task mid-pass, making behaviour depend on heap layout)
+        #: new task mid-pass, making behaviour depend on heap layout); 0
+        #: before the first poll and again once the task finishes
         self.polled_stamp = 0
 
     # ------------------------------------------------------------------

@@ -51,7 +51,8 @@ class CacheLine:
     several sharers and an owner corresponds to MESI Shared with the
     owner's copy also Shared (we keep the owner id to price the next miss).
     ``sharers`` is a bitmask of core ids (bit ``c`` set: core ``c`` holds
-    a copy); the owner's bit is always set.
+    a copy); the owner's bit is always set.  A line left with one sharer
+    holds the machine's shared int for that core's bit.
     """
 
     __slots__ = ("machine", "owner", "sharers", "name", "stats")
@@ -65,7 +66,7 @@ class CacheLine:
     ) -> None:
         self.machine = machine
         self.owner = home
-        self.sharers = 1 << home
+        self.sharers = machine._core_bits[home]
         self.name = name
         self.stats = stats if stats is not None else MemStats()
 
@@ -88,7 +89,7 @@ class CacheLine:
         machine = self.machine
         st = self.stats
         sharers = self.sharers
-        mine = 1 << core
+        mine = machine._core_bits[core]
         st.writes += 1
         # the owner is always a sharer, so {core} alone means core owns it
         if sharers == mine:
@@ -122,8 +123,9 @@ class CacheLine:
         for list-head and completion words avoids double-charging one
         physical transfer to both the writer and the notified reader.
         """
+        machine = self.machine
         st = self.stats
-        mine = 1 << core
+        mine = machine._core_bits[core]
         others = self.sharers & ~mine
         st.writes += 1
         if others:
@@ -132,7 +134,7 @@ class CacheLine:
             st.write_hits += 1
         self.owner = core
         self.sharers = mine
-        return self.machine.spec.local_ns
+        return machine.spec.local_ns
 
     def rmw(self, core: int) -> int:
         """Atomic read-modify-write (CAS): a write plus the ALU cost."""

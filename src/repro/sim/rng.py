@@ -46,14 +46,8 @@ class Rng:
     def choice(self, seq: Sequence[T]) -> T:
         return self._r.choice(seq)
 
-    def shuffle(self, lst: list) -> None:
-        self._r.shuffle(lst)
-
     def expovariate(self, rate: float) -> float:
         return self._r.expovariate(rate)
 
     def random(self) -> float:
         return self._r.random()
-
-    def bytes(self, n: int) -> bytes:
-        return self._r.randbytes(n)

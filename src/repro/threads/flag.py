@@ -1,7 +1,8 @@
 """Completion flags.
 
-A :class:`Flag` is a one-word synchronization cell backed by a
-:class:`~repro.mem.cacheline.CacheLine`.  It supports two waiting styles:
+A :class:`Flag` is a one-word synchronization cell: a
+:class:`~repro.mem.cacheline.CacheLine` of its own, so a flag is one
+object.  It supports two waiting styles:
 
 * **spin** — the waiter keeps its core and notices the store one line
   transfer after it happens (microbench completion words, lock-style
@@ -26,14 +27,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.threads.thread import SimThread
 
 
-class Flag:
+class Flag(CacheLine):
     """One-shot (resettable) completion word with cost-modeled wakeups.
 
-    The waiter lists exist only while someone waits: a flag nobody waits
-    on (most completion flags) holds ``None`` in both.
+    The word is its own cache line: ``read`` is the line's load, and
+    ``set``/``reset`` store to it.  The waiter lists exist only while
+    someone waits: a flag nobody waits on (most completion flags) holds
+    ``None`` in both.
     """
 
-    __slots__ = ("machine", "engine", "line", "is_set", "name", "_spinners", "_blockers")
+    __slots__ = ("engine", "is_set", "_spinners", "_blockers")
 
     def __init__(
         self,
@@ -43,21 +46,20 @@ class Flag:
         name: str = "",
         stats: Optional[MemStats] = None,
     ) -> None:
-        self.machine = machine
+        CacheLine.__init__(self, machine, home, name, stats)
         self.engine = engine
-        self.line = CacheLine(machine, home=home, name=name or "flag", stats=stats)
         self.is_set = False
-        self.name = name
         #: (core, resume_cb) pairs busy-spinning on the word
         self._spinners: Optional[list[tuple[int, Callable[[], None]]]] = None
         #: threads descheduled on the word
         self._blockers: Optional[list["SimThread"]] = None
 
-    # ------------------------------------------------------------------
-    def read(self, core: int) -> int:
-        """Check the word; returns the read latency in ns."""
-        return self.line.read(core)
+    @property
+    def label(self) -> str:
+        """The name waiters and errors report (``blocked_on``, ``repr``)."""
+        return self.name
 
+    # ------------------------------------------------------------------
     def set(self, core: int) -> int:
         """Set the word from ``core``; wakes waiters; returns store cost.
 
@@ -68,7 +70,7 @@ class Flag:
         Blocked threads are handed to the scheduler, which adds its own
         dispatch cost.
         """
-        cost = self.line.write_async(core)
+        cost = self.write_async(core)
         self.is_set = True
         spinners = self._spinners
         if spinners is not None:
@@ -86,9 +88,9 @@ class Flag:
     def reset(self, core: int) -> int:
         """Clear the word (must have no waiters)."""
         if self._spinners or self._blockers:
-            raise RuntimeError(f"reset of {self.name!r} with waiters present")
+            raise RuntimeError(f"reset of {self.label!r} with waiters present")
         self.is_set = False
-        return self.line.write(core)
+        return self.write(core)
 
     # -- waiter registration (called by the scheduler) -------------------
     def add_spinner(self, core: int, resume: Callable[[], None]) -> tuple:
@@ -130,4 +132,22 @@ class Flag:
 
     def __repr__(self) -> str:
         state = "set" if self.is_set else "clear"
-        return f"<Flag {self.name or id(self)} {state} waiters={self.waiter_count()}>"
+        return f"<Flag {self.label or id(self)} {state} waiters={self.waiter_count()}>"
+
+
+class CompletionFlag(Flag):
+    """A task's completion flag, bound by :class:`~repro.core.manager.PIOMan`
+    at every submission.
+
+    Binding formats nothing: ``name`` keeps a reference to the task's own
+    name string, or an unnamed task's number among its manager's unnamed
+    tasks, and ``label`` renders ``done:<name>`` (``done:anon<n>``) only
+    when something reads it.
+    """
+
+    __slots__ = ()
+
+    @property
+    def label(self) -> str:
+        name = self.name
+        return f"done:{name}" if isinstance(name, str) else f"done:anon{name}"

@@ -905,7 +905,7 @@ class Scheduler:
                 return self._resume_after(cid, thread, cost)
             self._charge(cid, thread, cost)
             instr.flag.add_blocker(thread)
-            self._block(cid, thread, f"flag:{instr.flag.name}")
+            self._block(cid, thread, f"flag:{instr.flag.label}")
         elif cls is Park:
             if thread is not self.cores[cid].idle_thread:
                 raise RuntimeError("only the idle thread may Park")

@@ -26,7 +26,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class CpuSet:
-    """Immutable set of core ids backed by an int bitmask."""
+    """Immutable set of core ids backed by an int bitmask.
+
+    ``single``, ``range`` and ``all`` hand out one shared instance per
+    mask (at most O(ncores²) of them), so the many tasks that name the
+    same core or node span keep no set of their own; ``mask`` refuses
+    assignment, which is what makes the sharing safe.
+    """
 
     __slots__ = ("mask",)
 
@@ -34,32 +40,42 @@ class CpuSet:
         if isinstance(cores, int):
             if cores < 0:
                 raise ValueError("mask must be non-negative")
-            self.mask = cores
+            m = cores
         else:
             m = 0
             for c in cores:
                 if c < 0:
                     raise ValueError(f"negative core id {c}")
                 m |= 1 << c
-            self.mask = m
+        object.__setattr__(self, "mask", m)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CpuSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CpuSet is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # the default slot-state protocol restores ``mask`` by assignment
+        return (CpuSet, (self.mask,))
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def single(cls, core: int) -> "CpuSet":
+    @staticmethod
+    def single(core: int) -> "CpuSet":
         """The set containing exactly one core."""
-        return cls(1 << core)
+        return _shared(1 << core)
 
-    @classmethod
-    def range(cls, lo: int, hi: int) -> "CpuSet":
+    @staticmethod
+    def range(lo: int, hi: int) -> "CpuSet":
         """Cores ``lo..hi-1`` (half-open, like :func:`range`)."""
         if hi < lo:
             raise ValueError("empty or inverted range")
-        return cls(((1 << (hi - lo)) - 1) << lo)
+        return _shared(((1 << (hi - lo)) - 1) << lo)
 
-    @classmethod
-    def all(cls, ncores: int) -> "CpuSet":
+    @staticmethod
+    def all(ncores: int) -> "CpuSet":
         """The full set for a machine with ``ncores`` cores."""
-        return cls((1 << ncores) - 1)
+        return _shared((1 << ncores) - 1)
 
     # -- set algebra -----------------------------------------------------
     def __or__(self, other: "CpuSet") -> "CpuSet":
@@ -112,6 +128,17 @@ class CpuSet:
 
     def __repr__(self) -> str:
         return f"CpuSet({list(self)})"
+
+
+#: the shared instance of each mask ``single``/``range``/``all`` returned
+_SHARED: dict[int, CpuSet] = {}
+
+
+def _shared(mask: int) -> CpuSet:
+    cpuset = _SHARED.get(mask)
+    if cpuset is None:
+        cpuset = _SHARED[mask] = CpuSet(mask)
+    return cpuset
 
 
 #: The empty CPU set (meaning "no restriction" is expressed by an explicit

@@ -177,6 +177,10 @@ class Machine:
         #: cost from it, farthest first: a store's farthest invalidation
         #: acknowledgement is the first tier its sharer bitmask meets
         self._xfer_tiers = [self._tiers(row) for row in self._xfer]
+        #: ``1 << core`` per core id, one shared int each: a cache line
+        #: left with one sharer stores this instead of a new int (the
+        #: interpreter caches only the ints up to 256)
+        self._core_bits = tuple(1 << c for c in range(self.ncores))
         self._inval = [
             [self.spec.inval(self._common_level(a, b)) for b in range(self.ncores)]
             for a in range(self.ncores)

@@ -44,10 +44,6 @@ def test_jitter_zero_frac_identity():
     assert Rng(0).jitter_ns(1234, 0.0) == 1234
 
 
-def test_bytes_length():
-    assert len(Rng(1).bytes(33)) == 33
-
-
 # ---------------------------------------------------------------- trace
 def test_tracer_disabled_records_nothing():
     t = Tracer(enabled=False)
