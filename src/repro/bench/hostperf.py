@@ -405,9 +405,9 @@ def _cluster_sharded_scenario(
     protocol (:mod:`repro.cluster.shard`) on a generated workload.
 
     Runs the same scenario single-process (``nshards=1``) and split in
-    two (``nshards=2``), both in serial mode — scenarios may themselves
-    run inside daemonic ``--jobs`` workers, which cannot fork.  The two
-    fingerprints must be identical (the shard identity contract).
+    two (``nshards=2``), both in serial mode, so a ``--jobs`` worker that
+    runs it forks nothing of its own.  The two fingerprints must be
+    identical (the shard identity contract).
     """
     from repro.cluster.shard import run_sharded
     from repro.cluster.workload import WorkloadSpec, verify_completion

@@ -72,6 +72,7 @@ import hashlib
 import heapq
 import json
 import math
+import os
 import resource
 import time as _time
 from dataclasses import dataclass, field
@@ -94,9 +95,11 @@ class ShardRunner:
     process for shard 0 (and for every shard in serial mode), in a
     forked worker otherwise.  The coordinator talks to it exclusively
     through the public methods, all of which return picklable data.
+    ``coordinator`` is the pid of the process that goes on after the run.
     """
 
-    def __init__(self, cluster) -> None:
+    def __init__(self, cluster, coordinator: int) -> None:
+        self._coordinator = coordinator
         self.cluster = cluster
         self.engine = cluster.engine
         self.fabric = cluster.fabric
@@ -154,16 +157,19 @@ class ShardRunner:
         """End-of-run report: metrics, trace records, liveness, and the
         host diagnostics (peak RSS, summed window compute seconds).
 
-        The runner's last call: it then drops its world and collects it,
-        so the coordinator, which hosts shard 0, merges the reports in
-        the memory that world held.
+        The runner's last call.  In the coordinator, which hosts shard 0
+        (and every shard of a serial run), it then drops its world and
+        collects it, so the reports merge in the memory that world held.
+        A forked shard exits after its report: it keeps its world, whose
+        collection would cost it time and lower no peak.
         """
         report = self._report()
-        # Every reference goes, or the collection frees nothing: the
-        # engine, the fabric (whose remote sink points back here) and the
-        # masked deadlock reporters each reach the whole world.
-        self.cluster = self.engine = self.fabric = self._reporters = None
-        gc.collect()
+        if os.getpid() == self._coordinator:
+            # Every reference goes, or the collection frees nothing: the
+            # engine, the fabric (whose remote sink points back here) and
+            # the masked deadlock reporters each reach the whole world.
+            self.cluster = self.engine = self.fabric = self._reporters = None
+            gc.collect()
         report["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         return report
 
@@ -205,13 +211,17 @@ def _stable_data(data: Optional[dict]) -> str:
     return repr(sorted((str(k), repr(v)) for k, v in data.items()))
 
 
-def _make_runner(*, builder: str, kwargs: dict, index: int, count: int):
-    """ShardPool spec target: build shard ``index``'s cluster + runner."""
+def _make_runner(
+    *, builder: str, kwargs: dict, index: int, count: int, coordinator: int
+):
+    """ShardPool spec target: build shard ``index``'s cluster + runner;
+    ``coordinator`` is the pid of the process that called
+    :func:`run_sharded`."""
     from repro.cluster.cluster import ShardSpec
 
     fn = resolve_target(builder)
     cluster = fn(shard=ShardSpec(index, count), **kwargs)
-    return ShardRunner(cluster)
+    return ShardRunner(cluster, coordinator)
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +340,8 @@ def run_sharded(
     — same builder, same protocol, one shard, nothing forked.
 
     ``serial=True`` keeps every shard in-process (deterministically
-    identical, no speedup) — required when the caller itself lives in a
-    daemonic worker, which may not fork children.  ``timeout_s`` bounds
-    each forked shard's reply.  ``until`` bounds the run like
-    :meth:`repro.sim.Engine.run`'s.
+    identical, no speedup).  ``timeout_s`` bounds each forked shard's
+    reply.  ``until`` bounds the run like :meth:`repro.sim.Engine.run`'s.
     """
     from repro.obs.merge import union_snapshots
     from repro.par.shardpool import ShardPool, ShardPoolError
@@ -351,6 +359,7 @@ def run_sharded(
                 "kwargs": dict(kwargs or {}),
                 "index": k,
                 "count": nshards,
+                "coordinator": os.getpid(),
             },
         )
         for k in range(nshards)

@@ -29,7 +29,9 @@ serial loop would have produced.
   window-synchronized parallel simulation.
 
 The names load on first access: the simulator imports
-:func:`derive_seed` without loading :mod:`multiprocessing`.
+:func:`derive_seed` without loading a pool.  Both pools fork through
+:mod:`repro.par.fork`, one ``os.fork``-and-pipes primitive that loads
+with the first fork.
 """
 
 from repro import _lazy

@@ -18,10 +18,12 @@ Design choices, in order of importance:
   without ``fork`` (Windows, some macOS configs) runs the same specs
   in-process, in order, through the very same :meth:`JobSpec.run` the
   workers use.
-* **Fork machinery on demand.**  :mod:`multiprocessing` loads where a
-  pool forks or waits, not when this module is imported: a process that
-  never forks (a serial run, the simulator itself) never holds it, and a
-  forking one loads it just before the fork, so its children inherit it.
+* **Fork machinery on demand.**  Both pools fork through
+  :mod:`repro.par.fork` (``os.fork``, pipes and :mod:`pickle`), which
+  loads where a pool forks or waits, not when this module is imported:
+  a process that never forks (a serial run, the simulator itself) never
+  holds it, and a forking one loads it just before the first fork, so
+  its children inherit it.  No process loads :mod:`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -40,18 +42,16 @@ _CRASH_RETRIES = 1
 
 
 def has_fork() -> bool:
-    """Whether this platform supports the ``fork`` start method."""
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+    """Whether this platform can fork a process."""
+    return hasattr(os, "fork")
 
 
 def _wait(conns: list, timeout: Optional[float]) -> list:
     """The pool's one wait on its workers' pipes: the connections ready
-    to read (:func:`multiprocessing.connection.wait`)."""
-    from multiprocessing import connection
+    to read (:func:`repro.par.fork.wait`)."""
+    from repro.par.fork import wait
 
-    return connection.wait(conns, timeout=timeout)
+    return wait(conns, timeout)
 
 
 def check_timeout(timeout_s: Optional[float]) -> None:
@@ -94,9 +94,10 @@ def resolve_jobs(jobs) -> int:
 def _worker_entry(spec: JobSpec, conn) -> None:
     """Worker body: run the job, send ``(status, payload, wall_ms)``.
 
-    Runs inside the forked child.  Every exception — including a result
-    that fails to pickle on the way back — is reported in-band as an
-    ``err`` message; only a genuine crash leaves the pipe empty.
+    Runs inside the forked child, which exits when this returns.  Every
+    exception — including a result that fails to pickle on the way back
+    — is reported in-band as an ``err`` message; only a genuine crash
+    leaves the pipe empty.
     """
     t0 = time.perf_counter()
     try:
@@ -110,11 +111,6 @@ def _worker_entry(spec: JobSpec, conn) -> None:
         wall_ms = (time.perf_counter() - t0) * 1e3
         try:
             conn.send((_ERR, f"{type(exc).__name__}: {exc}", wall_ms))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
         except Exception:
             pass
 
@@ -179,9 +175,8 @@ def run_jobs(
         return _run_serial(specs)
     workers = min(jobs, len(specs))
 
-    import multiprocessing
+    from repro.par.fork import start
 
-    ctx = multiprocessing.get_context("fork")
     results: list[Optional[JobResult]] = [None] * len(specs)
     pending: list[tuple[int, int]] = [(i, 1) for i in range(len(specs))]
     pending.reverse()  # pop() from the end -> dispatch in spec order
@@ -189,16 +184,9 @@ def run_jobs(
     running: dict = {}
 
     def launch(index: int, attempt: int) -> None:
-        spec = specs[index]
-        recv_end, send_end = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_entry, args=(spec, send_end),
-            name=f"repro-par-{spec.name}", daemon=True,
-        )
-        proc.start()
-        send_end.close()  # parent keeps only the read end
+        proc, conn = start(_worker_entry, specs[index])
         deadline = time.monotonic() + timeout_s if timeout_s is not None else None
-        running[recv_end] = (proc, index, attempt, deadline)
+        running[conn] = (proc, index, attempt, deadline)
 
     def reap(proc) -> None:
         """Stop a worker for good: SIGTERM, then SIGKILL if it lingers
@@ -211,10 +199,7 @@ def run_jobs(
 
     def finish(conn, proc, index: int, attempt: int, result: JobResult) -> None:
         results[index] = result
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
         proc.join()
 
     def record_timeout(conn, proc, index: int, attempt: int) -> None:
@@ -224,10 +209,7 @@ def run_jobs(
             error=f"timed out after {timeout_s:g}s",
             attempts=attempt, pid=proc.pid, parallel=True,
         )
-        try:
-            conn.close()
-        except Exception:
-            pass
+        conn.close()
 
     try:
         while pending or running:
@@ -246,10 +228,7 @@ def run_jobs(
                 except (EOFError, OSError):
                     # pipe closed with nothing in it: the worker crashed
                     proc.join()
-                    try:
-                        conn.close()
-                    except Exception:
-                        pass
+                    conn.close()
                     expired = (
                         deadline is not None and time.monotonic() >= deadline
                     )
@@ -321,15 +300,8 @@ def run_jobs(
     finally:
         # belt-and-braces: never leak workers on an unexpected error
         for conn, (proc, _, _, _) in running.items():
-            proc.terminate()
-            proc.join(5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            try:
-                conn.close()
-            except Exception:
-                pass
+            reap(proc)
+            conn.close()
     assert all(r is not None for r in results)
     for result in results:
         result.workers = workers

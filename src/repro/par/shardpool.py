@@ -25,10 +25,15 @@ down and rebuilding it per window would dwarf the simulation itself.
   window-level protocol error should surface to the caller, not silently
   rebuild the world.  Every reply is read before the first error is
   raised, so the pipes stay in step for the next call;
+* a worker is a child forked by :func:`repro.par.fork.start`, which
+  loads with the first fork: importing this module loads neither it,
+  :mod:`pickle` nor :mod:`traceback`.  A worker holds no end of another
+  worker's pipes nor of the coordinator's side of its own, so when the
+  coordinator dies without closing the pool, every worker reads
+  end-of-file and exits;
 * ``serial=True`` (or a platform without ``fork``) hosts every state
   in-process — the same oracle equivalence :func:`run_jobs`'s serial
-  fallback provides, and the only mode available inside a daemonic
-  ``run_jobs`` worker (daemons may not fork children).
+  fallback provides.
 
 Determinism is the caller's contract, same as :mod:`repro.par.pool`:
 state construction and every method call must depend only on the spec
@@ -38,7 +43,6 @@ and the call arguments, never on scheduling.
 from __future__ import annotations
 
 import time
-import traceback
 from typing import Any, Optional, Sequence
 
 from repro.par.jobs import JobSpec
@@ -66,7 +70,8 @@ def _shard_entry(spec: JobSpec, conn) -> None:
 
     Exceptions during a call are reported in-band and the loop continues;
     only an exception during *construction* ends the worker (there is no
-    state to serve).  Runs inside the forked child.
+    state to serve), as does end-of-file from the coordinator.  Runs
+    inside the forked child, which exits when this returns.
     """
     try:
         state = spec.run()
@@ -75,20 +80,19 @@ def _shard_entry(spec: JobSpec, conn) -> None:
             conn.send((_ERR, f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
-        conn.close()
         return
     conn.send((_OK, None))  # construction ack
     while True:
         try:
             request = conn.recv()
-        except EOFError:
-            break
+        except EOFError:  # the coordinator is gone
+            return
         if request[0] == _STOP:
             try:
                 conn.send((_OK, None))
             except Exception:
                 pass
-            break
+            return
         _, method, args, kwargs = request
         try:
             value = getattr(state, method)(*args, **kwargs)
@@ -97,8 +101,9 @@ def _shard_entry(spec: JobSpec, conn) -> None:
             except Exception as exc:  # unpicklable reply: report in-band
                 conn.send((_ERR, f"reply not picklable: {exc!r}"))
         except BaseException:
+            import traceback
+
             conn.send((_ERR, traceback.format_exc(limit=8)))
-    conn.close()
 
 
 class ShardPool:
@@ -152,19 +157,12 @@ class ShardPool:
         hosted = range(self.n) if self.serial else range(1)
         try:
             if not self.serial:
-                import multiprocessing
+                from repro.par.fork import start
 
-                ctx = multiprocessing.get_context("fork")
                 for i in range(1, self.n):
-                    parent_end, child_end = ctx.Pipe(duplex=True)
-                    proc = ctx.Process(
-                        target=_shard_entry, args=(self.specs[i], child_end),
-                        name=f"repro-shard-{names[i]}", daemon=True,
+                    self._procs[i], self._conns[i] = start(
+                        _shard_entry, self.specs[i]
                     )
-                    proc.start()
-                    child_end.close()
-                    self._conns[i] = parent_end
-                    self._procs[i] = proc
             for i in hosted:
                 try:
                     self._states[i] = self.specs[i].run()
@@ -197,6 +195,12 @@ class ShardPool:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def _send(self, index: int, request) -> None:
+        try:
+            self._conns[index].send(request)
+        except OSError:  # the worker's end is closed: it died
+            self._died(index)
+
     def _recv(self, index: int):
         conn = self._conns[index]
         name = self.specs[index].name
@@ -209,17 +213,19 @@ class ShardPool:
                         f"after {self.timeout_s:g}s", name,
                     )
                 if not self._procs[index].is_alive():
-                    self._poison(
-                        f"shard {name!r} died "
-                        f"(exit {self._procs[index].exitcode})", name,
-                    )
+                    self._died(index)
         try:
             return conn.recv()
         except (EOFError, OSError):
-            self._poison(
-                f"shard {name!r} died (exit {self._procs[index].exitcode})",
-                name,
-            )
+            self._died(index)
+
+    def _died(self, index: int):
+        """Poison the pool for a worker whose pipe broke, naming its exit
+        status (a signal's is negative)."""
+        proc = self._procs[index]
+        proc.join(1.0)  # its pipe closes as it exits: the status follows
+        name = self.specs[index].name
+        self._poison(f"shard {name!r} died (exit {proc.exitcode})", name)
 
     def _poison(self, message: str, shard: Optional[str] = None):
         self._poisoned = message
@@ -267,7 +273,7 @@ class ShardPool:
         self._check()
         if index in self._states:
             return self._unwrap(index, self._host(index, method, args, kwargs))
-        self._conns[index].send((_CALL, method, args, kwargs))
+        self._send(index, (_CALL, method, args, kwargs))
         return self._unwrap(index, self._recv(index))
 
     def broadcast(self, method: str, *args, **kwargs) -> list:
@@ -292,10 +298,10 @@ class ShardPool:
             )
         if kwargs_per_worker is None:
             kwargs_per_worker = [{}] * self.n
-        for i, conn in self._conns.items():
-            conn.send(
-                (_CALL, method, tuple(args_per_worker[i]),
-                 dict(kwargs_per_worker[i]))
+        for i in self._conns:
+            self._send(
+                i, (_CALL, method, tuple(args_per_worker[i]),
+                    dict(kwargs_per_worker[i]))
             )
         replies: list = [None] * self.n
         for i in self._states:
@@ -315,10 +321,7 @@ class ShardPool:
     # ------------------------------------------------------------------
     def _terminate(self) -> None:
         for conn in self._conns.values():
-            try:
-                conn.close()
-            except Exception:
-                pass
+            conn.close()
         for proc in self._procs.values():
             if proc.is_alive():
                 proc.terminate()

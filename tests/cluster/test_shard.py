@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from repro.cluster import shard as shard_mod
 from repro.cluster.cluster import Cluster, ShardSpec
 from repro.cluster.shard import run_sharded
 from repro.cluster.workload import (
@@ -373,6 +374,23 @@ class TestProtocol:
         assert len(pids - {os.getpid()}) == 1
         # the hosted shard's memory is the caller's peak: reported as 0
         assert result.maxrss_kb[0] == 0 and result.maxrss_kb[1] > 0
+
+    @pytest.mark.parametrize("coordinator", [os.getpid, os.getppid],
+                             ids=["this-process", "another-process"])
+    def test_only_the_coordinator_collects_the_world(self, monkeypatch, coordinator):
+        """``finalize`` drops and collects the world only in the process
+        that goes on after the run; a forked shard exits after its report,
+        so its runner keeps the world and skips the collection."""
+        collections = []
+        monkeypatch.setattr(shard_mod.gc, "collect", lambda *a: collections.append(a))
+        cluster = build_plain_ring(nnodes=2, msgs=1, seed=3, faults=None)
+        runner = shard_mod.ShardRunner(cluster, coordinator())
+        report = runner.finalize()
+        assert report["maxrss_kb"] > 0 and report["fired"] == 0
+        if coordinator is os.getpid:
+            assert collections == [()] and runner.cluster is None
+        else:
+            assert collections == [] and runner.cluster is cluster
 
     @pytest.mark.parametrize(
         "serial,fail_node",

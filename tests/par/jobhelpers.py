@@ -101,6 +101,19 @@ class Counter:
     def opaque(self):
         return lambda x: x  # unpicklable on purpose
 
+    def exit(self, code=None):
+        """Die without a reply, with ``code`` (no argument: reply)."""
+        if code is not None:
+            os._exit(code)
+        return self.value
+
+    def kill(self, signum=None):
+        """Die by signal ``signum`` without a reply (no argument: reply)."""
+        if signum is not None:
+            os.kill(os.getpid(), signum)
+            time.sleep(60)
+        return self.value
+
 
 def make_counter(start=0):
     """ShardPool spec target returning the live state object."""

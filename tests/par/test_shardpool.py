@@ -6,14 +6,19 @@ forked, scatter fans per-worker arguments out before collecting any
 reply, an in-band method exception leaves the worker alive and every
 reply is still read (the next call sees its own replies), and worker
 death / timeout / construction failure poison the pool loudly rather
-than silently rebuilding simulation state.
+than silently rebuilding simulation state.  No worker outlives the
+pool, nor a coordinator that dies without closing it.
 """
 
-import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.par import JobSpec, ShardPool
 from repro.par.pool import has_fork
 from repro.par.shardpool import ShardPoolError
@@ -21,8 +26,20 @@ from repro.par.shardpool import ShardPoolError
 from . import jobhelpers  # noqa: F401  (must be importable in workers)
 
 COUNTER = "tests.par.jobhelpers:make_counter"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 needs_fork = pytest.mark.skipif(not has_fork(), reason="platform cannot fork")
+
+
+def children_left() -> bool:
+    """Whether this process has a child, running or unreaped (a zombie
+    is reaped by the check, which then still reports it)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
 
 
 def counter_specs(n, start=0):
@@ -100,9 +117,8 @@ class TestForkedSpecifics:
             assert pool.pids == [None] + pids[1:]
 
     def test_single_state_forks_nothing(self):
-        before = set(multiprocessing.active_children())
         with ShardPool(counter_specs(1)) as pool:
-            assert set(multiprocessing.active_children()) == before
+            assert not children_left()
             assert pool.pids == [None]
             assert pool.broadcast("where") == [os.getpid()]
             assert pool.reply_wait_s == 0.0
@@ -148,10 +164,84 @@ class TestForkedSpecifics:
             ShardPool(specs)
         assert info.value.shard == "bad"
         assert isinstance(info.value.__cause__, ValueError)
-        assert not [
-            p for p in multiprocessing.active_children()
-            if p.name.startswith("repro-shard-")
-        ]
+        assert not children_left()
+
+
+@needs_fork
+class TestWorkerDeath:
+    """A worker that dies poisons the pool with its name and exit status,
+    and leaves no child behind, whether or not replies are timed."""
+
+    @pytest.mark.parametrize("timeout_s", [None, 30.0], ids=["untimed", "timed"])
+    @pytest.mark.parametrize(
+        "method,arg,status",
+        [("exit", 3, "exit 3"), ("kill", signal.SIGKILL, "exit -9")],
+        ids=["os_exit_3", "sigkill"],
+    )
+    def test_death_mid_call(self, timeout_s, method, arg, status):
+        pool = ShardPool(counter_specs(3), timeout_s=timeout_s)
+        with pytest.raises(ShardPoolError, match=rf"shard 'c1' died \({status}\)") as info:
+            pool.scatter(method, [(), (arg,), ()])
+        assert info.value.shard == "c1"
+        with pytest.raises(ShardPoolError, match="poisoned"):
+            pool.broadcast("get")
+        pool.close()
+        assert not children_left()
+
+    @pytest.mark.parametrize("timeout_s", [None, 30.0], ids=["untimed", "timed"])
+    def test_killed_between_calls(self, timeout_s):
+        """A request to a worker killed since its last reply finds its
+        pipe closed: the pool is poisoned before any reply is read."""
+        pool = ShardPool(counter_specs(3), timeout_s=timeout_s)
+        pid = pool.pids[2]
+        os.kill(pid, signal.SIGKILL)
+        # wait until it is gone, but leave it for the pool to reap
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(ShardPoolError, match=r"shard 'c2' died \(exit -9\)") as info:
+            pool.call(2, "get")
+        assert info.value.shard == "c2"
+        with pytest.raises(ShardPoolError, match="poisoned"):
+            pool.call(1, "get")
+        pool.close()
+        assert not children_left()
+
+    def test_workers_exit_when_the_coordinator_dies(self):
+        """A coordinator that dies without closing its pool leaves no
+        worker behind: each reads end-of-file and exits.  The workers
+        inherit the write end of a pipe, so its read end sees
+        end-of-file once the last of them is gone."""
+        code = (
+            "import os, sys\n"
+            f"sys.path[:0] = [{SRC!r}, {ROOT!r}]\n"
+            "from repro.par import JobSpec, ShardPool\n"
+            f"specs = [JobSpec(f'c{{i}}', {COUNTER!r}) for i in range(3)]\n"
+            "pool = ShardPool(specs)\n"
+            "print(*pool.pids[1:], flush=True)\n"
+            "os._exit(0)\n"
+        )
+        watch, held = os.pipe()
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            pass_fds=(held,), text=True,
+        )
+        os.close(held)
+        pids, gone = [], False
+        try:
+            assert select.select([coordinator.stdout], [], [], 30.0)[0]
+            pids = [int(p) for p in coordinator.stdout.readline().split()]
+            assert coordinator.wait(30) == 0
+            assert len(pids) == 2
+            gone = bool(select.select([watch], [], [], 10.0)[0])
+            assert gone, "a worker outlived its coordinator"
+            assert os.read(watch, 1) == b""
+        finally:
+            for pid in [] if gone else pids:  # a gone pid may be reused
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            coordinator.stdout.close()
+            os.close(watch)
 
 
 class TestLifecycle:
@@ -167,10 +257,7 @@ class TestLifecycle:
         first build: all raise before any worker is forked."""
         with pytest.raises(ValueError, match="timeout_s"):
             ShardPool(counter_specs(2), timeout_s=bad)
-        assert not [
-            p for p in multiprocessing.active_children()
-            if p.name.startswith("repro-shard-")
-        ]
+        assert not children_left()
 
     def test_closed_pool_refuses_calls(self, mode):
         pool = ShardPool(counter_specs(1), serial=mode)

@@ -76,8 +76,14 @@ POOL_IMPORT = (
 )
 
 
+#: what only a process that forks loads
+FORK_MACHINERY = ["repro.par.fork", "pickle"]
+
+
 def test_pools_load_no_fork_machinery_until_they_fork():
-    assert "multiprocessing" not in fresh(POOL_IMPORT)
+    # the benchmark's probe imports these in every repetition
+    loaded = fresh(POOL_IMPORT)
+    assert under(loaded, FORK_MACHINERY + ["traceback", "multiprocessing"]) == []
     # a serial batch and a one-state pool fork nothing either
     serial = (
         "from repro.par import JobSpec, ShardPool, run_jobs\n"
@@ -87,15 +93,44 @@ def test_pools_load_no_fork_machinery_until_they_fork():
         "with ShardPool([spec]) as pool:\n"
         "    assert pool.pids == [None]"
     )
-    assert "multiprocessing" not in fresh(serial)
-    # a forking batch loads it
+    assert under(fresh(serial), FORK_MACHINERY) == []
+    # a forking batch loads them
     forked = (
         "from repro.par import JobSpec, run_jobs\n"
         "specs = [JobSpec(n, 'repro.par.jobs:derive_seed', "
         "{'root_seed': 1, 'key': n}) for n in 'ab']\n"
         "assert all(r.ok and r.parallel for r in run_jobs(specs, jobs=2))"
     )
-    assert "multiprocessing" in fresh(forked)
+    assert under(fresh(forked), FORK_MACHINERY) == sorted(FORK_MACHINERY)
+
+
+def test_no_process_loads_multiprocessing():
+    """Serial and forking batches, one- and three-state pools and a
+    forked sharded run: neither the caller nor any worker loads it."""
+    code = (
+        "from repro.par import JobSpec, ShardPool, run_jobs\n"
+        "from repro.cluster.shard import run_sharded\n"
+        "from repro.cluster.workload import WorkloadSpec\n"
+        "def loaded():\n"
+        "    return 'multiprocessing' in sys.modules\n"
+        "class State:\n"
+        "    loaded = staticmethod(loaded)\n"
+        "specs = [JobSpec(n, '__main__:loaded') for n in 'abc']\n"
+        "batches = [run_jobs(specs), run_jobs(specs, jobs=2)]\n"
+        "assert [r.parallel for b in batches for r in b] == [False] * 3 + [True] * 3\n"
+        "seen = [r.value for b in batches for r in b]\n"
+        "for n in (1, 3):\n"
+        "    states = [JobSpec(f's{i}', '__main__:State') for i in range(n)]\n"
+        "    with ShardPool(states) as pool:\n"
+        "        assert pool.pids.count(None) == 1\n"
+        "        seen += pool.broadcast('loaded')\n"
+        "result = run_sharded('repro.cluster.workload:build_workload_cluster', "
+        "{'spec': WorkloadSpec(nnodes=4, seed=1), 'machine': 'smp1x2'}, "
+        "nshards=2)\n"
+        "assert result.maxrss_kb[1] > 0\n"
+        "seen.append(loaded())"
+    )
+    assert fresh(code, "seen") == [False] * 11
 
 
 def test_bench_cli_loads_no_numpy():
