@@ -23,10 +23,9 @@ land in different processes, and any cluster can run sharded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.manager import PIOMan
-from repro.faults import FaultInjector, FaultPlan
 from repro.net.driver import DriverSpec, IB_CONNECTX
 from repro.net.fabric import Fabric
 from repro.net.nic import Nic
@@ -37,6 +36,9 @@ from repro.sim.trace import NULL_TRACER, Tracer
 from repro.threads.scheduler import Scheduler
 from repro.topology.builder import borderline
 from repro.topology.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults import FaultInjector, FaultPlan
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,9 @@ class Cluster:
         #: bit-identical to a plan-less run
         self.fault_injectors: dict[int, FaultInjector] = {}
         if faults is not None and faults.enabled():
+            # a caller holding a plan has loaded repro.faults already
+            from repro.faults import FaultInjector
+
             for node in self.nodes:
                 plan = replace(faults, seed=derive_seed(faults.seed, f"node{node.id}"))
                 injector = FaultInjector(plan, tracer=tracer)

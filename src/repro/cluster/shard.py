@@ -96,6 +96,11 @@ class ShardRunner:
     forked worker otherwise.  The coordinator talks to it exclusively
     through the public methods, all of which return picklable data.
     ``coordinator`` is the pid of the process that goes on after the run.
+    The final report carries the shard's metrics as
+    :meth:`~repro.obs.registry.MetricsRegistry.columns`, sorted paths
+    and aligned values: two lists unpickle into less memory than a dict
+    of the same paths, and the coordinator merges them straight into
+    the union.
     """
 
     def __init__(self, cluster, coordinator: int) -> None:
@@ -154,8 +159,10 @@ class ShardRunner:
         return outbox, self.next_time(), self.engine.now, self.engine.fired
 
     def finalize(self) -> dict:
-        """End-of-run report: metrics, trace records, liveness, and the
-        host diagnostics (peak RSS, summed window compute seconds).
+        """End-of-run report, a dict: metrics (``"columns"``, the
+        registry's sorted paths and aligned values), trace records,
+        liveness, and the host diagnostics (peak RSS, summed window
+        compute seconds).
 
         The runner's last call.  In the coordinator, which hosts shard 0
         (and every shard of a serial run), it then drops its world and
@@ -175,7 +182,7 @@ class ShardRunner:
 
     def _report(self) -> dict:
         registry = getattr(self.cluster, "registry", None)
-        snapshot = registry.snapshot() if registry is not None else {}
+        columns = registry.columns() if registry is not None else ([], [])
         tracer = getattr(self.cluster, "tracer", None)
         records: list[tuple] = []
         dropped = 0
@@ -192,7 +199,7 @@ class ShardRunner:
             ]
             dropped = tracer.dropped
         return {
-            "snapshot": snapshot,
+            "columns": columns,
             "trace_records": records,
             "trace_dropped": dropped,
             "blocked": self.engine.blocked_actors(),
@@ -443,8 +450,8 @@ def run_sharded(
             f"cluster drained at t={max(f['now'] for f in finals)} ns with "
             f"{blocked} actor(s) still blocked (across {nshards} shard(s))"
         )
-    # the shards' snapshots go as they are merged: none outlives the union
-    snapshot = union_snapshots([final.pop("snapshot") for final in finals])
+    # the shards' columns go as they are merged: none outlives the union
+    snapshot = union_snapshots([final.pop("columns") for final in finals])
     trace_fp, trace_n = _merge_trace(finals)
     return ShardRunResult(
         nshards=nshards,

@@ -43,6 +43,9 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.cluster.cluster import Cluster, ShardSpec
+from repro.mpi.collectives import allreduce
+from repro.mpi.madmpi import MadMPI
+from repro.obs.registry import MetricsRegistry
 from repro.par.jobs import derive_seed
 from repro.sim.rng import Rng
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -206,7 +209,6 @@ def _gap_ns(spec: WorkloadSpec, rng: Rng, r: int) -> int:
 
 def _client_body(spec, comm, rank, routes, stats):
     """One node's client: issue its request schedule, join collectives."""
-    from repro.mpi.collectives import allreduce
 
     def body(ctx) -> Generator[Any, Any, None]:
         core = ctx.core_id
@@ -292,10 +294,11 @@ def build_workload_cluster(
     100+-node worlds stay constructible; the registry and (optional)
     tracer are attached to the returned cluster for
     :class:`~repro.cluster.shard.ShardRunner` to collect.
-    """
-    from repro.mpi.madmpi import MadMPI
-    from repro.obs.registry import MetricsRegistry
 
+    Everything a build runs is imported with this module, so a caller
+    that imports it before :func:`~repro.cluster.shard.run_sharded`
+    forks its shards leaves them nothing to import or compile.
+    """
     factories = {
         "smp2x2": lambda: smp(2, 2),
         "smp1x2": lambda: smp(1, 2),

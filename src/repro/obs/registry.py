@@ -11,6 +11,8 @@ address space:
   (``pioman.q:core#0``, ``sched.node0``, ``nic.ib@node0.0``);
 * :meth:`snapshot` scrapes every source into a flat
   ``{"pioman.q:core#0.lost_races": 3, ...}`` mapping, ready for JSON;
+  :meth:`columns` is the same scrape as two aligned lists, sorted paths
+  and their values, the form a shard ships;
 * :meth:`diff` subtracts two snapshots and keeps only the counters that
   moved — the regression-gate primitive for perf PRs;
 * :meth:`report` renders a topology-grouped human view.
@@ -170,14 +172,25 @@ class MetricsRegistry:
         return path in self._sources
 
     # -- export ---------------------------------------------------------
-    def snapshot(self) -> dict[str, Number]:
-        """Flat ``{dot.path.counter: value}`` view of every source, sorted."""
+    def columns(self) -> tuple[list[str], list[Number]]:
+        """Every source flattened to ``(paths, values)``: the dot-paths
+        in sorted order and the values aligned with them.
+
+        Two lists hold a snapshot in less memory than a dict, so a shard
+        ships its report this way (:func:`repro.obs.merge.union_snapshots`
+        merges them).
+        """
         flat: dict[str, Number] = {}
         for path, source in self._sources.items():
             for name, value in _scrape(source).items():
                 _flatten(f"{path}.{name}", value, flat)
         # sorting the keys, not the items, builds no (key, value) tuples
-        return {key: flat[key] for key in sorted(flat)}
+        paths = sorted(flat)
+        return paths, [flat[path] for path in paths]
+
+    def snapshot(self) -> dict[str, Number]:
+        """Flat ``{dot.path.counter: value}`` view of every source, sorted."""
+        return dict(zip(*self.columns()))
 
     @staticmethod
     def diff(before: Mapping[str, Number], after: Mapping[str, Number]) -> dict[str, Number]:

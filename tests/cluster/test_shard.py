@@ -392,6 +392,19 @@ class TestProtocol:
         else:
             assert collections == [] and runner.cluster is cluster
 
+    def test_the_report_ships_sorted_columns(self):
+        """A shard's metrics travel as two aligned lists, the paths in
+        sorted order: the registry's snapshot, split into columns."""
+        cluster = build_plain_ring(nnodes=2, msgs=1, seed=3, faults=None)
+        cluster.run()
+        snapshot = cluster.registry.snapshot()
+        report = shard_mod.ShardRunner(cluster, os.getppid()).finalize()
+        assert "snapshot" not in report
+        paths, values = report["columns"]
+        assert type(paths) is list and type(values) is list
+        assert paths == sorted(snapshot) and len(paths) > 100
+        assert values == list(snapshot.values())
+
     @pytest.mark.parametrize(
         "serial,fail_node",
         [(True, 1), pytest.param(False, 0, marks=needs_fork),

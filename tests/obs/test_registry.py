@@ -1,10 +1,12 @@
 """MetricsRegistry: scraping, snapshot/diff round-trips, path stability."""
 
+import itertools
+
 import pytest
 
 from repro.core.manager import PIOMan
 from repro.core.queues import QueueStats
-from repro.obs import MetricsRegistry, union_snapshots
+from repro.obs import Histogram, MetricsRegistry, union_snapshots
 from repro.sim.engine import Engine
 from repro.sync.stats import LockStats
 from repro.threads.scheduler import Scheduler
@@ -34,18 +36,50 @@ def test_snapshot_includes_numeric_properties():
     assert snap["lock.per_core_acquires.1"] == 1
 
 
+def _columns(snapshot: dict) -> tuple:
+    paths = sorted(snapshot)
+    return paths, [snapshot[path] for path in paths]
+
+
 def test_snapshot_and_shard_union_are_in_sorted_path_order():
     reg = MetricsRegistry()
     reg.register("b", {"z": 1, "a": 2})
     reg.register("a", {"y": 3})
     assert list(reg.snapshot().items()) == [("a.y", 3), ("b.a", 2), ("b.z", 1)]
-    shards = [{"n1.x": 1, "n0.y": 2}, {"n2.a": 3, "n0.z": 4.5}]
-    expected = sorted({**shards[0], **shards[1]}.items())
-    for order in (shards, shards[::-1]):
-        assert list(union_snapshots(order).items()) == expected
-    with pytest.raises(ValueError, match=r"'n0.y' appears in more than one shard "
-                       r"\(second occurrence in shard 2\)"):
-        union_snapshots([shards[0], {"n3.q": 0}, {"n0.y": 9}])
+    shards = [{"n1.x": 1, "n0.y": 2}, {"n2.a": 3, "n0.z": 4.5}, {}, {"n3.b": 7}]
+    expected = sorted({k: v for shard in shards for k, v in shard.items()}.items())
+    for order in itertools.permutations(shards):
+        merged = union_snapshots([_columns(shard) for shard in order])
+        assert list(merged.items()) == expected
+    for dup in ([shards[0], {"n3.q": 0}, {"n0.y": 9}],
+                [{"n0.y": 9}, {"n3.q": 0}, shards[0]],
+                [{"a.x": 1, "n0.y": 2}, {"n3.q": 0}, {"m.a": 1, "n0.y": 9}]):
+        with pytest.raises(ValueError, match=r"'n0.y' appears in more than one "
+                           r"shard \(second occurrence in shard 2\)"):
+            union_snapshots([_columns(shard) for shard in dup])
+
+
+def test_columns_are_the_snapshot_items_in_order():
+    """Nested mappings, a histogram (nested and as a source), a numeric
+    property and a non-numeric leaf: ``columns()`` is the same scrape."""
+    reg = MetricsRegistry()
+    lock = LockStats()
+    lock.note_acquire(0, contended=False)
+    lock.note_acquire(1, contended=True, spin_ns=50)
+    reg.register("lock", lock)
+    hist = Histogram()
+    for value in (3, 40, 500):
+        hist.record(value)
+    reg.register("wait", hist)
+    reg.register("nested", {"b": {"z": 1, "a": {"deep": 2.5}}, "h": hist,
+                            "flag": True, "name": "skipped"})
+    reg.register("derived", lambda: {"ratio": 0.25})
+    paths, values = reg.columns()
+    assert paths == sorted(paths) and len(paths) == len(values)
+    assert list(zip(paths, values)) == list(reg.snapshot().items())
+    assert {"lock.contention_ratio", "wait.p50", "nested.h.count",
+            "nested.b.a.deep", "nested.flag"} <= set(paths)
+    assert MetricsRegistry().columns() == ([], [])
 
 
 def test_callable_source_and_mapping_source():

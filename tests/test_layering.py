@@ -133,6 +133,40 @@ def test_no_process_loads_multiprocessing():
     assert fresh(code, "seen") == [False] * 11
 
 
+@pytest.mark.parametrize("faults", [
+    "None", "FaultPlan(seed=1, net=NetFaults(drop_p=0.1))",
+], ids=["no-faults", "fault-plan"])
+def test_a_shard_build_imports_nothing_its_builder_module_did_not(faults):
+    """The coordinator imports the builder's module before
+    ``run_sharded`` forks, so a forked shard's build imports nothing: a
+    caller that holds a fault plan has loaded the fault layer too."""
+    code = (
+        "from repro.cluster.cluster import ShardSpec\n"
+        "from repro.cluster.workload import WorkloadSpec, build_workload_cluster\n"
+        + ("" if faults == "None" else "from repro.faults import FaultPlan, NetFaults\n")
+        + "before = set(sys.modules)\n"
+        "build_workload_cluster(ShardSpec(1, 2), spec=WorkloadSpec(nnodes=4, "
+        f"requests_per_node=2, seed=1), machine='smp1x2', faults={faults})\n"
+        "new = sorted(set(sys.modules) - before)"
+    )
+    assert fresh(code, "new") == []
+
+
+def test_a_madmpi_world_without_faults_loads_no_baseline_and_no_fault_layer():
+    code = (
+        "from repro import Cluster, MadMPI, smp\n"
+        "from repro.cluster.workload import WorkloadSpec, build_workload_cluster\n"
+        "cluster = Cluster(2, machine_factory=lambda: smp(1, 2))\n"
+        "MadMPI(cluster).comm(0)\n"
+        "cluster.run()\n"
+        "build_workload_cluster(None, spec=WorkloadSpec(nnodes=4, "
+        "requests_per_node=2, seed=1), machine='smp1x2').run()"
+    )
+    loaded = fresh(code)
+    assert under(loaded, ["repro.faults", "repro.mpi.baseline"]) == []
+    assert "repro.mpi.madmpi" in loaded and "repro.cluster.cluster" in loaded
+
+
 def test_bench_cli_loads_no_numpy():
     loaded = fresh("import repro.bench.cli")
     assert "numpy" not in loaded
@@ -153,8 +187,13 @@ def test_unknown_name_is_an_attribute_error():
         repro.no_such_name
 
 
+def read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def test_no_runtime_dependency():
-    text = open(os.path.join(ROOT, "pyproject.toml")).read()
+    text = read(os.path.join(ROOT, "pyproject.toml"))
     deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
     assert deps is not None and deps.group(1).strip() == ""
     importers = []
@@ -163,7 +202,7 @@ def test_no_runtime_dependency():
             if not name.endswith(".py"):
                 continue
             path = os.path.join(dirpath, name)
-            for node in ast.walk(ast.parse(open(path).read())):
+            for node in ast.walk(ast.parse(read(path))):
                 if isinstance(node, ast.Import):
                     roots = [a.name.split(".")[0] for a in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.module:

@@ -198,13 +198,16 @@ needs_git = pytest.mark.skipif(not _has_git_checkout(),
                                reason="needs git and a git checkout of the repository")
 
 
-@pytest.fixture
-def clone(tmp_path):
-    dest = tmp_path / "clone"
+def _clone(dest):
     subprocess.run(["git", "clone", "-q", ROOT, str(dest)], check=True,
                    capture_output=True)
     shutil.copy(AB, dest / "tools" / "ab.py")
     return dest
+
+
+@pytest.fixture
+def clone(tmp_path):
+    return _clone(tmp_path / "clone")
 
 
 def _worktrees(repo) -> str:
@@ -212,21 +215,50 @@ def _worktrees(repo) -> str:
                           check=True, capture_output=True, text=True).stdout
 
 
-def _run_ab(clone, *args):
+def _run_ab(clone, *args, env=None):
     return subprocess.run([sys.executable, str(clone / "tools" / "ab.py"), *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600, env=env)
+
+
+@pytest.fixture(scope="module")
+def head_run(tmp_path_factory):
+    """One smoke pair of ``idle_poll`` against HEAD in a clone, with the
+    temporary directory that holds both sides' trees under the test's
+    control: ``(clone, that directory, worktrees before, the process)``."""
+    base = tmp_path_factory.mktemp("ab")
+    clone = _clone(base / "clone")
+    scratch = base / "tmp"
+    scratch.mkdir()
+    before = _worktrees(clone), _worktrees(ROOT)
+    env = {**os.environ, "TMPDIR": str(scratch)}
+    # ab.py must set it for its runs itself, whatever the caller has
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = _run_ab(clone, "HEAD", "--smoke", "--pairs", "1", "--workload", "idle_poll",
+                   env=env)
+    return clone, scratch, before, proc
 
 
 @needs_git
-def test_ab_against_head_runs_one_pair_and_removes_its_worktree(clone):
-    before = _worktrees(clone), _worktrees(ROOT)
-    proc = _run_ab(clone, "HEAD", "--smoke", "--pairs", "1", "--workload", "idle_poll")
+def test_ab_against_head_runs_one_pair_and_removes_its_worktree(head_run):
+    clone, _, before, proc = head_run
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     results = doc["workloads"]["idle_poll"]
     assert list(results) == [m["name"] for m in CONTRACT["end_to_end"]]
     assert {(r["pairs"], r["verdict"]) for r in results.values()} == {(1, "unresolved")}
     assert (_worktrees(clone), _worktrees(ROOT)) == before
+
+
+@needs_git
+def test_ab_runs_without_bytecode_and_removes_its_copy(head_run):
+    """Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, the working
+    tree's side from a copy: no run leaves a ``__pycache__`` in the
+    checkout, and the copy and the REF worktree are gone after the run."""
+    clone, scratch, _, proc = head_run
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(clone.glob("src/**/__pycache__")) == []
+    assert sorted(clone.glob("benchmark/**/__pycache__")) == []
+    assert sorted(scratch.iterdir()) == []
 
 
 @needs_git

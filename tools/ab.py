@@ -4,14 +4,19 @@ Run:  python3 tools/ab.py REF [--workload W]... [--pairs N] [--smoke] [--seed N]
       python3 tools/ab.py --gate RECORD RUN BASE
 
 A/B mode checks REF out into a throwaway ``git worktree`` (local, no
-network), removed on exit, and alternates ``benchmark/run.py --workload W
---reps 1`` between that tree and the working tree, ``--pairs`` times per
-workload (default 10), swapping which side goes first every pair.  Every
-run checks its digests against ``benchmark/reference.json`` and counts
-failed operations; any non-zero exit stops the comparison (exit 1).  It
-refuses to start (exit 2) when ``benchmark/`` or ``BENCHMARK.json``
-differ between the two trees: the two sides would not measure the same
-thing.
+network) and copies the working tree's ``src/``, ``benchmark/`` and
+``BENCHMARK.json`` without their ``__pycache__`` into a temporary
+directory; both are removed on exit.  It alternates ``benchmark/run.py
+--workload W --reps 1`` between the two, ``--pairs`` times per workload
+(default 10), swapping which side goes first every pair.  Every run has
+``PYTHONDONTWRITEBYTECODE=1`` in its environment, so both sides import
+and compile every module in every repetition, as a fresh checkout does,
+and neither writes a cache that a later run, or the other side, reads.
+Every run checks its digests against ``benchmark/reference.json`` and
+counts failed operations; any non-zero exit stops the comparison (exit
+1).  It refuses to start (exit 2) when ``benchmark/`` or
+``BENCHMARK.json`` differ between the two trees: the two sides would
+not measure the same thing.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
 each side's median [q1, q3], the median of the per-pair ratios (working
@@ -59,6 +64,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: what must be identical in both trees for the comparison to mean anything
 SAME = ("benchmark", "BENCHMARK.json")
+#: what of the working tree a benchmark run reads
+RUN_FROM = ("src",) + SAME
+#: every run's environment: no side reads or writes compiled bytecode
+ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 #: fewest pairs for which winning all of them is evidence
 MIN_PAIRS = 5
 #: share of pairs a gain must win
@@ -134,7 +143,7 @@ def run_side(tree: str, workload: str, args) -> dict:
         cmd.append("--smoke")
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, env=ENV, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"ab: {' '.join(cmd[1:])} (in {tree}) exited {proc.returncode}:",
               file=sys.stderr)
@@ -164,21 +173,23 @@ def ab(args, contract: dict) -> int:
         return 2
     workloads = args.workload or [w["name"] for w in contract["workloads"]]
     tmp = tempfile.mkdtemp(prefix="ab-")
-    ref_tree = os.path.join(tmp, "ref")
+    trees = {"ref": os.path.join(tmp, "ref"), "new": os.path.join(tmp, "new")}
     results: dict = {}
     try:
-        git("worktree", "add", "--detach", "--quiet", ref_tree, sha)
-        # byte-compile both trees, so neither side's first run pays for it
-        for tree in (ref_tree, ROOT):
-            subprocess.run([sys.executable, "-m", "compileall", "-q",
-                            os.path.join(tree, "src"), os.path.join(tree, "benchmark")],
-                           check=True, capture_output=True)
+        git("worktree", "add", "--detach", "--quiet", trees["ref"], sha)
+        no_cache = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in RUN_FROM:
+            src, dest = os.path.join(ROOT, name), os.path.join(trees["new"], name)
+            if os.path.isdir(src):
+                shutil.copytree(src, dest, ignore=no_cache)
+            else:
+                shutil.copy2(src, dest)
         for workload in workloads:
             samples = {"ref": [], "new": []}
             for i in range(args.pairs):
                 order = ("ref", "new") if i % 2 == 0 else ("new", "ref")
                 for side in order:
-                    out = run_side(ref_tree if side == "ref" else ROOT, workload, args)
+                    out = run_side(trees[side], workload, args)
                     if out is None:
                         return 1
                     samples[side].append(out["metrics"])
@@ -189,7 +200,7 @@ def ab(args, contract: dict) -> int:
                 for m in contract["end_to_end"]
             }
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", ref_tree], cwd=ROOT,
+        subprocess.run(["git", "worktree", "remove", "--force", trees["ref"]], cwd=ROOT,
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
