@@ -1,8 +1,8 @@
 """Formatting helpers: print paper-shaped tables and series.
 
 Every benchmark result type in :mod:`repro.bench` has a renderer here so
-that the pytest benchmarks, the CLI and EXPERIMENTS.md all show the same
-rows the paper reports.
+that the CLI and EXPERIMENTS.md (``tools/make_experiments.py``) show the
+same rows the paper reports.
 """
 
 from __future__ import annotations

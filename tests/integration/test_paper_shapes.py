@@ -1,7 +1,9 @@
 """Fast integration checks of the paper's qualitative results.
 
-These are scaled-down versions of the benchmark assertions so that
-``pytest tests/`` alone validates the reproduction's headline claims.
+These are scaled-down versions of the shapes that ``tools/make_experiments.py``
+checks at paper scale on EXPERIMENTS.md's results, so that ``pytest tests/``
+alone validates the reproduction's headline claims.  A4 on a per-core queue
+runs here at paper scale, because no EXPERIMENTS.md section measures it.
 """
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from repro.bench.latency import run_latency_once
 from repro.bench.overlap import run_overlap_once
 from repro.bench.task_microbench import measure_queue, run_task_microbench
+from repro.core.variants import LockFreeTaskQueue
 from repro.mpi import MadMPI, MVAPICHLike
 from repro.topology import CpuSet, borderline, kwak
 
@@ -51,6 +54,24 @@ def test_per_core_queue_isolation():
     m = borderline()
     row = measure_queue(m, CpuSet.single(3), reps=60, seed=2)
     assert row.shares == {3: 1.0}
+
+
+def test_ablation_lockfree_local():
+    """A4: on an uncontended per-core queue the CAS queue and the
+    spinlock queue are comparable."""
+    machine = kwak()
+    locked = measure_queue(
+        machine, CpuSet.single(0), label="core#0", reps=300, seed=13
+    )
+    lockfree = measure_queue(
+        machine,
+        CpuSet.single(0),
+        label="core#0-lockfree",
+        reps=300,
+        seed=13,
+        queue_factory=LockFreeTaskQueue,
+    )
+    assert abs(locked.mean_ns - lockfree.mean_ns) < 0.3 * locked.mean_ns
 
 
 def test_latency_flat_for_pioman_growing_for_baseline():
