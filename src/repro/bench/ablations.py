@@ -176,10 +176,10 @@ def backoff_leg(
 
 
 # ----------------------------------------------------------------------
-# the five-ablation suite (CLI target + make_experiments), job-friendly
+# the A1-A6 suite (the ablations artifact of repro.bench.targets)
 # ----------------------------------------------------------------------
 def _queue_factory(queue: str) -> Callable:
-    """Resolve a queue variant by name (names pickle; classes needn't)."""
+    """Resolve a queue variant by name."""
     from repro.core.queues import AlwaysLockTaskQueue
     from repro.core.variants import LockFreeTaskQueue, MutexTaskQueue
 
@@ -206,7 +206,7 @@ def burst_leg(
     seed: int = 5,
     label: str = "",
 ) -> BurstResult:
-    """One :func:`run_affinity_burst` leg, addressable as a job target."""
+    """One :func:`run_affinity_burst` leg on a named machine."""
     from repro.topology.builder import MACHINES
 
     return run_affinity_burst(
@@ -227,7 +227,7 @@ def queue_leg(
     seed: int = 9,
     label: str = "",
 ):
-    """One global-queue ``measure_queue`` leg, addressable as a job target."""
+    """One global-queue ``measure_queue`` leg on a named machine."""
     from repro.bench.task_microbench import measure_queue
     from repro.topology.builder import MACHINES
 
@@ -314,18 +314,18 @@ def faults_leg(
 class AblationSuite:
     """All twelve legs of the A1-A6 ablation matrix on kwak."""
 
-    a1_hier: BurstResult = None
-    a1_flat: BurstResult = None
-    a2_spin: BurstResult = None
-    a2_mutex: BurstResult = None
-    a3_checked: object = None
-    a3_always: object = None
-    a4_locked: object = None
-    a4_lockfree: object = None
-    a5_fixed: BackoffResult = None
-    a5_backoff: BackoffResult = None
-    a6_clean: FaultsResult = None
-    a6_faulty: FaultsResult = None
+    a1_hier: BurstResult
+    a1_flat: BurstResult
+    a2_spin: BurstResult
+    a2_mutex: BurstResult
+    a3_checked: object
+    a3_always: object
+    a4_locked: object
+    a4_lockfree: object
+    a5_fixed: BackoffResult
+    a5_backoff: BackoffResult
+    a6_clean: FaultsResult
+    a6_faulty: FaultsResult
 
     def format(self) -> str:
         us = 1000.0
@@ -357,52 +357,25 @@ class AblationSuite:
         return "\n".join(lines)
 
 
-#: the twelve ablation legs: (field, target, kwargs) — seeds fixed to the
+#: the twelve ablation legs: (field, leg, kwargs) — seeds fixed to the
 #: values EXPERIMENTS.md has always used, so the suite reproduces it
 _SUITE_LEGS = (
-    ("a1_hier", "burst_leg", {"hierarchical": True}),
-    ("a1_flat", "burst_leg", {"hierarchical": False}),
-    ("a2_spin", "burst_leg", {"hierarchical": False, "label": "spin"}),
-    ("a2_mutex", "burst_leg", {"hierarchical": False, "queue": "mutex", "label": "mutex"}),
-    ("a3_checked", "queue_leg", {"queue": "spin", "seed": 9}),
-    ("a3_always", "queue_leg", {"queue": "always", "seed": 9}),
-    ("a4_locked", "queue_leg", {"queue": "spin", "seed": 13}),
-    ("a4_lockfree", "queue_leg", {"queue": "lockfree", "seed": 13}),
-    ("a5_fixed", "backoff_leg", {"backoff": False, "seed": 11}),
-    ("a5_backoff", "backoff_leg", {"backoff": True, "seed": 11}),
+    ("a1_hier", burst_leg, {"hierarchical": True}),
+    ("a1_flat", burst_leg, {"hierarchical": False}),
+    ("a2_spin", burst_leg, {"hierarchical": False, "label": "spin"}),
+    ("a2_mutex", burst_leg, {"hierarchical": False, "queue": "mutex", "label": "mutex"}),
+    ("a3_checked", queue_leg, {"queue": "spin", "seed": 9}),
+    ("a3_always", queue_leg, {"queue": "always", "seed": 9}),
+    ("a4_locked", queue_leg, {"queue": "spin", "seed": 13}),
+    ("a4_lockfree", queue_leg, {"queue": "lockfree", "seed": 13}),
+    ("a5_fixed", backoff_leg, {"backoff": False, "seed": 11}),
+    ("a5_backoff", backoff_leg, {"backoff": True, "seed": 11}),
     # A6 pair shares a seed on purpose: same world, faults on/off
-    ("a6_clean", "faults_leg", {"faulty": False, "seed": 31}),
-    ("a6_faulty", "faults_leg", {"faulty": True, "seed": 31}),
+    ("a6_clean", faults_leg, {"faulty": False, "seed": 31}),
+    ("a6_faulty", faults_leg, {"faulty": True, "seed": 31}),
 )
 
 
-def run_ablation_suite(
-    *,
-    bursts: int = 60,
-    reps: int = 200,
-    jobs: int = 1,
-) -> AblationSuite:
-    """Run all twelve ablation legs, optionally fanned out over workers.
-
-    Every leg is an independent seeded simulation, so leg-level fan-out
-    merges back (by field name) bit-identical to the serial loop.
-    """
-    from repro.par import JobSpec, run_jobs_strict
-
-    specs = []
-    for fname, fn, extra in _SUITE_LEGS:
-        kwargs: dict = dict(extra)
-        if fn == "burst_leg":
-            kwargs.setdefault("bursts", bursts)
-        elif fn == "queue_leg":
-            kwargs.setdefault("reps", reps)
-        specs.append(
-            JobSpec(
-                name=fname, target=f"repro.bench.ablations:{fn}", kwargs=kwargs
-            )
-        )
-    values = run_jobs_strict(specs, jobs=jobs)
-    suite = AblationSuite()
-    for (fname, _, _), value in zip(_SUITE_LEGS, values):
-        setattr(suite, fname, value)
-    return suite
+def run_ablation_suite() -> AblationSuite:
+    """Run all twelve ablation legs, one seeded simulation each."""
+    return AblationSuite(**{name: leg(**kwargs) for name, leg, kwargs in _SUITE_LEGS})

@@ -3,9 +3,6 @@
 Usage::
 
     python -m repro.bench table1
-    python -m repro.bench table2 --reps 300
-    python -m repro.bench fig4 --threads 1,2,4,8,16,32,64,128
-    python -m repro.bench fig5 --points 9
     python -m repro.bench fig6 fig7
     python -m repro.bench all --json results.json   # machine-readable dump
     python -m repro.bench all --jobs 4              # multi-process fan-out
@@ -23,28 +20,41 @@ Usage::
 
 (also installed as the ``repro-bench`` console script).
 
-``--jobs N`` fans independent targets out over ``repro.par`` worker
-processes; every simulation is seeded and shared-nothing, so the output
-(tables, JSON, metrics, traces) is bit-identical to a serial run — only
-the wall clock changes.
+Each artifact runs its job of :data:`repro.bench.targets.SPECS`, the
+seeded runs EXPERIMENTS.md reports, and prints the block that file
+holds for it.  ``--metrics-out``/``--trace-out`` always describe one
+run, Table I's job with a registry and tracer on its global-queue row,
+which also prints ``table1`` when that artifact is named.
+
+``--jobs N`` fans the artifacts out over ``repro.par`` worker processes;
+every simulation is seeded and shared-nothing, so the output (tables,
+JSON, metrics, traces) is bit-identical to a serial run — only the wall
+clock changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-from repro.bench.targets import (
-    ALL_TARGETS,
-    INNER_PARALLEL_TARGETS,
-    TargetOutput,
-    to_jsonable,
-)
+from repro.bench.targets import ARTIFACTS, OBSERVED, SPECS, render
 from repro.par import JobFailure, JobSpec, resolve_jobs, run_jobs_strict
+
+
+def to_jsonable(obj: Any) -> Any:
+    """Recursively convert bench result objects to plain JSON data."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj
 
 
 def out_path(text: str) -> str:
@@ -101,9 +111,9 @@ def _analyze_main(argv: Sequence[str]) -> int:
     )
     ap.add_argument("--trace", metavar="PATH", required=True,
                     help="Chrome-trace JSON written by --trace-out")
-    ap.add_argument("--top", type=int, default=10,
+    ap.add_argument("--top", type=positive_int, default=10,
                     help="how many slowest tasks to list (default 10)")
-    ap.add_argument("--cores", type=int, default=None,
+    ap.add_argument("--cores", type=positive_int, default=None,
                     help="force the per-core section to cover N cores "
                     "(default: the count stamped in the trace, else the "
                     "cores observed)")
@@ -154,7 +164,7 @@ def _diff_main(argv: Sequence[str]) -> int:
     )
     ap.add_argument("a", metavar="A.json", help="baseline document")
     ap.add_argument("b", metavar="B.json", help="new document")
-    ap.add_argument("--top", type=int, default=4,
+    ap.add_argument("--top", type=positive_int, default=4,
                     help="counters shown per entry (default 4)")
     ap.add_argument("--json-out", metavar="PATH", type=out_path, default=None,
                     help="also dump the structured diff to PATH")
@@ -190,9 +200,9 @@ def _render_main(argv: Sequence[str]) -> int:
     ap.add_argument("--term", action="store_true",
                     help="print a block-character chart to stdout "
                     "(default when no --gantt-out is given)")
-    ap.add_argument("--width", type=int, default=1000,
+    ap.add_argument("--width", type=positive_int, default=1000,
                     help="SVG width in px (default 1000)")
-    ap.add_argument("--term-width", type=int, default=72,
+    ap.add_argument("--term-width", type=positive_int, default=72,
                     help="terminal chart columns (default 72)")
     ap.add_argument("--title", default="", help="SVG title line")
     args = ap.parse_args(argv)
@@ -209,57 +219,6 @@ def _render_main(argv: Sequence[str]) -> int:
     if args.term or not args.gantt_out:
         print(render_gantt_term(doc, critical_path=cp, width=args.term_width))
     return 0
-
-
-def _build_specs(
-    targets: Sequence[str], args, observe: bool
-) -> list[JobSpec]:
-    """One spec per requested target, plus the dedicated observed run.
-
-    Spec names are the target names (suffixed only when a target is
-    requested twice); the instrumented run is the *first* table target,
-    matching the old inline loop's attach-once rule.  When a single
-    fan-out-capable target gets the whole ``--jobs`` budget, the budget
-    moves inside it.
-    """
-    inner_jobs = (
-        args.jobs
-        if len(targets) == 1 and targets[0] in INNER_PARALLEL_TARGETS
-        else 1
-    )
-    inst_index = next(
-        (i for i, t in enumerate(targets) if t in ("table1", "table2")), None
-    )
-    specs: list[JobSpec] = []
-    seen: dict[str, int] = {}
-    for i, target in enumerate(targets):
-        n = seen.get(target, 0)
-        seen[target] = n + 1
-        specs.append(
-            JobSpec(
-                name=target if n == 0 else f"{target}[{n}]",
-                target="repro.bench.targets:run_target",
-                kwargs={
-                    "name": target,
-                    "reps": args.reps,
-                    "seed": args.seed,
-                    "threads": list(args.threads),
-                    "points": args.points,
-                    "iters": args.iters,
-                    "observe": observe and i == inst_index,
-                    "jobs": inner_jobs,
-                },
-            )
-        )
-    if observe and inst_index is None:
-        specs.append(
-            JobSpec(
-                name="_observed",
-                target="repro.bench.targets:run_dedicated_observed",
-                kwargs={"reps": args.reps, "seed": args.seed},
-            )
-        )
-    return specs
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -285,26 +244,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     ap.add_argument(
         "targets",
         nargs="+",
-        choices=ALL_TARGETS + ("all",),
+        choices=[*ARTIFACTS, "all"],
         help="which artifacts to regenerate",
     )
-    ap.add_argument("--reps", type=positive_int, default=200, help="microbench repetitions")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument(
-        "--threads", type=positive_ints, default=[1, 2, 4, 8, 16, 32, 64, 128],
-        help="fig4 thread counts (comma separated)",
-    )
-    ap.add_argument("--points", type=positive_int, default=9, help="overlap points per curve")
-    ap.add_argument("--iters", type=positive_int, default=4, help="fig4 iterations per thread")
     ap.add_argument(
         "--jobs", type=resolve_jobs, default=1, metavar="N",
-        help="fan independent targets out over N worker processes "
+        help="fan the artifacts out over N worker processes "
         "('auto' or 0 = every CPU; default 1 = in-process serial; "
         "results are bit-identical either way)",
     )
     ap.add_argument(
         "--job-timeout", type=positive_seconds, default=None, metavar="S",
-        help="per-target wall-clock limit in seconds when using --jobs",
+        help="per-artifact wall-clock limit in seconds when using --jobs",
     )
     ap.add_argument(
         "--json", metavar="PATH", type=out_path, default=None,
@@ -312,60 +263,49 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     ap.add_argument(
         "--metrics-out", metavar="PATH", type=out_path, default=None,
-        help="dump a flat MetricsRegistry snapshot of an instrumented "
-        "global-queue microbench run to PATH as JSON",
+        help="dump a flat MetricsRegistry snapshot of Table I's "
+        "global-queue row to PATH as JSON",
     )
     ap.add_argument(
         "--trace-out", metavar="PATH", type=out_path, default=None,
-        help="dump the instrumented run's task timeline to PATH as "
-        "Chrome-trace JSON (load in chrome://tracing or ui.perfetto.dev)",
+        help="dump that row's task timeline to PATH as Chrome-trace JSON "
+        "(load in chrome://tracing or ui.perfetto.dev)",
     )
     args = ap.parse_args(argv)
-    collected: dict[str, Any] = {}
+    artifacts = list(ARTIFACTS if "all" in args.targets else dict.fromkeys(args.targets))
 
-    targets = list(args.targets)
-    if "all" in targets:
-        targets = list(ALL_TARGETS)
-
-    # Observability instrumentation attaches to the first table target
-    # regenerated (or to a dedicated small run when no table target was
-    # requested); the artifacts are written at the end.
     observe = bool(args.metrics_out or args.trace_out)
-    specs = _build_specs(targets, args, observe)
+    by_name = {s.name: s for s in SPECS}
+    specs = [
+        by_name[ARTIFACTS[a][0]] for a in artifacts if not (observe and a == "table1")
+    ]
+    if observe:
+        specs.append(JobSpec("observed", "repro.bench.targets:run_observed"))
     try:
-        outputs: list[TargetOutput] = run_jobs_strict(
-            specs, jobs=args.jobs, timeout_s=args.job_timeout
-        )
+        values = run_jobs_strict(specs, jobs=args.jobs, timeout_s=args.job_timeout)
     except JobFailure as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
         return 1
+    results = dict(zip([s.name for s in specs], values))
+    if observe:
+        results[ARTIFACTS["table1"][0]], snap, doc = results.pop("observed")
 
-    instrumented: Optional[TargetOutput] = None
-    for out in outputs:
-        if out.instrumented and instrumented is None:
-            instrumented = out
-        if out.target == "_observed":
-            continue
-        print(f"\n{out.header}")
-        print(out.text)
-        collected[out.target] = out.data
+    collected: dict[str, Any] = {}
+    for a in artifacts:
+        spec, header = ARTIFACTS[a]
+        print(f"\n=== {header} ===")
+        print(render(a, results[spec]))
+        collected[a] = to_jsonable(results[spec])
 
-    if observe and instrumented is not None:
-        if args.metrics_out:
-            snap = instrumented.metrics
-            with open(args.metrics_out, "w") as fh:
-                json.dump(
-                    {"meta": {"source": instrumented.instrumented}, "metrics": snap},
-                    fh, indent=1,
-                )
-            print(f"\nwrote {args.metrics_out} ({len(snap)} counters, "
-                  f"{instrumented.instrumented})")
-        if args.trace_out:
-            doc = instrumented.trace
-            with open(args.trace_out, "w") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
-            print(f"wrote {args.trace_out} ({len(doc['traceEvents'])} trace "
-                  f"events, {instrumented.instrumented})")
+    if args.metrics_out:
+        with open(args.metrics_out, "w") as fh:
+            json.dump({"meta": {"source": OBSERVED}, "metrics": snap}, fh, indent=1)
+        print(f"\nwrote {args.metrics_out} ({len(snap)} counters, {OBSERVED})")
+    if args.trace_out:
+        with open(args.trace_out, "w") as fh:
+            json.dump(doc, fh, separators=(",", ":"))
+        print(f"wrote {args.trace_out} ({len(doc['traceEvents'])} trace "
+              f"events, {OBSERVED})")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(collected, fh, indent=2)

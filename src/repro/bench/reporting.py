@@ -87,6 +87,8 @@ def format_overlap(series: Sequence[OverlapSeries]) -> str:
     sizes = sorted({s.size_bytes for s in series})
     placement = series[0].placement
     for size in sizes:
+        if lines:
+            lines.append("")
         group = [s for s in series if s.size_bytes == size]
         label = f"{size // 1024} KB" if size < 1024 * 1024 else f"{size // (1024 * 1024)} MB"
         lines.append(f"Overlap ratio — computation on {placement}, {label}")
@@ -98,7 +100,6 @@ def format_overlap(series: Sequence[OverlapSeries]) -> str:
             for s in group:
                 row += f"{s.ratio_at(x):>10.2f}"
             lines.append(row)
-        lines.append("")
     return "\n".join(lines)
 
 

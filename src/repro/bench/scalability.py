@@ -67,8 +67,7 @@ class ScaleStudy:
 def scale_point(nnuma: int, per: int, *, reps: int = 100, seed: int = 21) -> ScalePoint:
     """Measure one machine shape: the local per-core queue, one per-chip
     queue, the global queue, and the flat (no-hierarchy) organisation
-    serving a core-affine task.  Module-level and argument-pure so it can
-    run as a :class:`repro.par.JobSpec` job."""
+    serving a core-affine task."""
     m = scaled_machine(nnuma, per)
     local = measure_queue(
         m, m.core_nodes[0].cpuset, label="core#0", reps=reps, seed=seed
@@ -103,23 +102,8 @@ def run_scalability(
     *,
     reps: int = 100,
     seed: int = 21,
-    jobs: int = 1,
 ) -> ScaleStudy:
-    """Sweep machine sizes via :func:`scale_point`, one point per shape.
-
-    Shapes are independent simulations with spec-carried seeds, so with
-    ``jobs > 1`` they fan out over worker processes and merge back in
-    shape order — bit-identical to the serial sweep.
-    """
-    from repro.par import JobSpec, run_jobs_strict
-
-    specs = [
-        JobSpec(
-            name=f"numa{nnuma}x{per}",
-            target="repro.bench.scalability:scale_point",
-            kwargs={"nnuma": nnuma, "per": per, "reps": reps, "seed": seed},
-        )
-        for nnuma, per in shapes
-    ]
-    points = run_jobs_strict(specs, jobs=jobs)
-    return ScaleStudy(points=points)
+    """Sweep machine sizes via :func:`scale_point`, one point per shape."""
+    return ScaleStudy(
+        points=[scale_point(nnuma, per, reps=reps, seed=seed) for nnuma, per in shapes]
+    )

@@ -1,215 +1,103 @@
-"""One executable unit per CLI target — the serial/parallel common path.
+"""The table of the paper's runs: one job spec per run, one CLI artifact
+per table or figure.
 
-Historically ``repro.bench.cli`` ran each table/figure inline in its main
-loop, which made the targets impossible to fan out over worker processes.
-This module extracts each target into :func:`run_target`, a module-level
-picklable callable returning a self-contained :class:`TargetOutput`
-(header + body text, JSON payload, and — when instrumented — the metrics
-snapshot and Chrome-trace document).
+:data:`SPECS` holds every seeded simulation EXPERIMENTS.md reports, as
+picklable :class:`repro.par.JobSpec` jobs.  ``tools/make_experiments.py``
+runs them all, asserts the paper's shapes on the results and writes the
+file.  ``python -m repro.bench <artifact>`` runs the job
+:data:`ARTIFACTS` maps the artifact to and prints its result with
+:func:`render`, the renderer of the matching EXPERIMENTS.md block.  Both
+read this one table, so the CLI prints the numbers the file holds.
 
-The CLI uses this for **both** execution modes: serially it calls the
-same function in the same order the old loop did, and with ``--jobs N``
-it submits the same calls as :class:`repro.par.JobSpec` jobs.  Because a
-target's output depends only on its arguments (every run builds a fresh
-seeded simulation), the two modes are bit-identical by construction.
+``--metrics-out``/``--trace-out`` instrument one run,
+:func:`run_observed`: Table I's job with a registry and a tracer on its
+global-queue row.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any
 
-#: placement per overlap figure (paper Figs. 5-7)
-FIG_PLACEMENTS = {"fig5": "sender", "fig6": "receiver", "fig7": "both"}
+from repro.par import JobSpec
 
-#: every regenerable artifact, in canonical order ("all" expands to this)
-ALL_TARGETS = (
-    "table1", "table2", "fig4", "fig5", "fig6", "fig7",
-    "scalability", "bandwidth", "ablations",
-)
+#: every heavy computation EXPERIMENTS.md needs, as picklable job specs —
+#: one flat list so --jobs N overlaps tables, figures and ablations
+SPECS = [
+    JobSpec("table_borderline", "repro.bench.task_microbench:run_task_microbench_named",
+            dict(machine="borderline", reps=300, seed=1)),
+    JobSpec("table_kwak", "repro.bench.task_microbench:run_task_microbench_named",
+            dict(machine="kwak", reps=300, seed=1)),
+    JobSpec("growth_borderline", "repro.bench.task_microbench:run_task_microbench_named",
+            dict(machine="borderline", reps=200, seed=3)),
+    JobSpec("growth_kwak", "repro.bench.task_microbench:run_task_microbench_named",
+            dict(machine="kwak", reps=200, seed=3)),
+    JobSpec("fig4", "repro.bench.latency:run_fig4",
+            dict(thread_counts=(1, 2, 4, 8, 16, 32, 64, 128),
+                 iters_per_thread=3, seed=0)),
+    JobSpec("fig5", "repro.bench.overlap:run_overlap_figure",
+            dict(placement="sender", npoints=9, reps=2, seed=0)),
+    JobSpec("fig6", "repro.bench.overlap:run_overlap_figure",
+            dict(placement="receiver", npoints=9, reps=2, seed=0)),
+    JobSpec("fig7", "repro.bench.overlap:run_overlap_figure",
+            dict(placement="both", npoints=9, reps=2, seed=0)),
+    JobSpec("ablations", "repro.bench.ablations:run_ablation_suite", {}),
+    JobSpec("scalability", "repro.bench.scalability:run_scalability",
+            dict(reps=100)),
+    JobSpec("bandwidth", "repro.bench.bandwidth:run_bandwidth",
+            dict(iters=3)),
+]
 
-#: targets that can fan their own legs out when they are the only target
-INNER_PARALLEL_TARGETS = ("scalability", "ablations")
+#: CLI artifact -> (the SPECS job it prints, its header); "all" is every
+#: artifact in this order.  The growth_* jobs feed only EXPERIMENTS.md.
+ARTIFACTS = {
+    "table1": ("table_borderline", "TABLE1 (borderline)"),
+    "table2": ("table_kwak", "TABLE2 (kwak)"),
+    "fig4": ("fig4", "FIG 4 (multi-threaded latency)"),
+    "fig5": ("fig5", "FIG5 (overlap, computation on sender)"),
+    "fig6": ("fig6", "FIG6 (overlap, computation on receiver)"),
+    "fig7": ("fig7", "FIG7 (overlap, computation on both)"),
+    "scalability": ("scalability", "SCALABILITY (extension: global queue vs core count)"),
+    "bandwidth": ("bandwidth", "BANDWIDTH (extension: OSU-style streaming)"),
+    "ablations": ("ablations", "ABLATIONS (design choices A1-A6)"),
+}
+
+#: what the --metrics-out snapshot and the --trace-out timeline describe
+OBSERVED = "table1 global-queue row (borderline)"
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert bench result objects to plain JSON data."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
+def render(artifact: str, result: Any) -> str:
+    """``artifact``'s block of EXPERIMENTS.md, from its job's result (the
+    ablations, whose section there is prose, render as a table)."""
+    if artifact in ("table1", "table2"):
+        from repro.bench.paper_targets import targets_for
+        from repro.bench.reporting import format_microbench
+
+        return format_microbench(result, paper=targets_for(result.machine))
+    if artifact == "fig4":
+        from repro.bench.reporting import format_latency
+
+        return format_latency(result)
+    if artifact in ("fig5", "fig6", "fig7"):
+        from repro.bench.reporting import format_overlap
+
+        return format_overlap(result)
+    if artifact == "bandwidth":
+        from repro.bench.bandwidth import format_bandwidth
+
+        return format_bandwidth(result)
+    return result.format()  # ScaleStudy, AblationSuite
 
 
-@dataclass
-class TargetOutput:
-    """Everything one target produces, ready to print/merge/serialize.
-
-    ``metrics`` / ``trace`` are populated only for the instrumented run
-    (``observe=True``): the flat registry snapshot and the complete
-    Chrome-trace document, both plain JSON data so they cross process
-    boundaries and can be written verbatim by the parent.
-    """
-
-    target: str
-    header: str
-    text: str
-    data: Any = None
-    instrumented: Optional[str] = None
-    metrics: Optional[dict] = None
-    trace: Optional[dict] = None
-
-
-def _observability(observe: bool):
-    if not observe:
-        return None, None
-    from repro.obs import MetricsRegistry
+def run_observed() -> tuple:
+    """Table I's job with a fresh registry and tracer on its global-queue
+    row: ``(result, metrics snapshot, Chrome-trace document)``.  The
+    result is the one Table I's plain job returns."""
+    from repro.bench.task_microbench import run_task_microbench_named
+    from repro.obs import MetricsRegistry, chrome_trace
     from repro.sim.trace import Tracer
 
-    return MetricsRegistry(), Tracer(enabled=True)
-
-
-def _trace_doc(tracer, *, source: str, machine=None) -> dict:
-    from repro.obs import chrome_trace
-
-    meta: dict[str, Any] = {"source": source}
-    if machine is not None:
-        meta["machine"] = machine.spec.name
-        meta["ncores"] = machine.ncores
-    return chrome_trace(tracer, meta=meta)
-
-
-def run_target(
-    name: str,
-    *,
-    reps: int = 200,
-    seed: int = 1,
-    threads: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    points: int = 9,
-    iters: int = 4,
-    observe: bool = False,
-    jobs: int = 1,
-) -> TargetOutput:
-    """Regenerate one CLI target; picklable, shared-nothing, seed-driven.
-
-    ``observe`` attaches a fresh registry + tracer exactly the way the
-    old CLI loop attached its singletons to the first table target.
-    ``jobs`` lets the targets with independent legs (``scalability``,
-    ``ablations``) fan those legs out themselves — used when a single
-    such target gets the whole ``--jobs`` budget.
-    """
-    from repro.bench.paper_targets import targets_for
-    from repro.bench.reporting import (
-        format_latency,
-        format_microbench,
-        format_overlap,
-    )
-    from repro.topology.builder import MACHINES
-
-    registry, tracer = _observability(observe)
-
-    if name in ("table1", "table2"):
-        from repro.bench.task_microbench import run_task_microbench
-
-        machine_name = "borderline" if name == "table1" else "kwak"
-        machine = MACHINES[machine_name]()
-        res = run_task_microbench(
-            machine, reps=reps, seed=seed, registry=registry, tracer=tracer
-        )
-        out = TargetOutput(
-            target=name,
-            header=f"=== {name.upper()} ({machine_name}) ===",
-            text=format_microbench(res, paper=targets_for(machine_name)),
-            data=to_jsonable(res),
-        )
-        if observe:
-            out.instrumented = f"{name} global-queue row ({machine_name})"
-            out.metrics = registry.snapshot()
-            out.trace = _trace_doc(tracer, source=out.instrumented, machine=machine)
-        return out
-    if name == "fig4":
-        from repro.bench.latency import run_fig4
-
-        series = run_fig4(
-            thread_counts=list(threads), iters_per_thread=iters, seed=seed
-        )
-        return TargetOutput(
-            target=name,
-            header="=== FIG 4 (multi-threaded latency) ===",
-            text=format_latency(series),
-            data=to_jsonable(series),
-        )
-    if name in FIG_PLACEMENTS:
-        from repro.bench.overlap import run_overlap_figure
-
-        placement = FIG_PLACEMENTS[name]
-        series = run_overlap_figure(placement, npoints=points, seed=seed)
-        return TargetOutput(
-            target=name,
-            header=f"=== {name.upper()} (overlap, computation on {placement}) ===",
-            text=format_overlap(series),
-            data=to_jsonable(series),
-        )
-    if name == "scalability":
-        from repro.bench.scalability import run_scalability
-
-        study = run_scalability(reps=max(60, reps // 2), seed=seed, jobs=jobs)
-        return TargetOutput(
-            target=name,
-            header="=== SCALABILITY (extension: global queue vs core count) ===",
-            text=study.format(),
-            data=to_jsonable(study),
-        )
-    if name == "bandwidth":
-        from repro.bench.bandwidth import format_bandwidth, run_bandwidth
-
-        bw = run_bandwidth(seed=seed)
-        return TargetOutput(
-            target=name,
-            header="=== BANDWIDTH (extension: OSU-style streaming) ===",
-            text=format_bandwidth(bw),
-            data=to_jsonable(bw),
-        )
-    if name == "ablations":
-        from repro.bench.ablations import run_ablation_suite
-
-        suite = run_ablation_suite(reps=reps, jobs=jobs)
-        return TargetOutput(
-            target=name,
-            header="=== ABLATIONS (design choices A1-A4) ===",
-            text=suite.format(),
-            data=to_jsonable(suite),
-        )
-    raise ValueError(f"unknown bench target {name!r}")
-
-
-def run_dedicated_observed(*, reps: int = 200, seed: int = 1) -> TargetOutput:
-    """The instrumentation-only run the CLI does when ``--metrics-out`` /
-    ``--trace-out`` is requested without any table target: one small
-    global-queue measurement on borderline, observed."""
-    from repro.bench.task_microbench import measure_queue
-    from repro.topology.builder import MACHINES
-
-    registry, tracer = _observability(True)
-    machine = MACHINES["borderline"]()
-    measure_queue(
-        machine,
-        machine.all_cores(),
-        label="global",
-        reps=min(reps, 50),
-        seed=seed,
-        registry=registry,
-        tracer=tracer,
-    )
-    label = "dedicated global-queue run (borderline)"
-    return TargetOutput(
-        target="_observed",
-        header="",
-        text="",
-        instrumented=label,
-        metrics=registry.snapshot(),
-        trace=_trace_doc(tracer, source=label, machine=machine),
-    )
+    registry, tracer = MetricsRegistry(), Tracer(enabled=True)
+    spec = next(s for s in SPECS if s.name == ARTIFACTS["table1"][0])
+    res = run_task_microbench_named(**spec.kwargs, registry=registry, tracer=tracer)
+    meta = {"source": OBSERVED, "machine": res.machine, "ncores": res.ncores}
+    return res, registry.snapshot(), chrome_trace(tracer, meta=meta)

@@ -1,5 +1,8 @@
 """Unit tests for the benchmark harness library (tiny scales)."""
 
+import os
+import re
+
 import pytest
 
 from repro.bench.latency import run_latency_once
@@ -14,6 +17,8 @@ from repro.bench.reporting import (
 from repro.bench.task_microbench import measure_queue, run_task_microbench
 from repro.mpi import MadMPI, MVAPICHLike
 from repro.topology import CpuSet, borderline, smp
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def test_measure_queue_basic():
@@ -153,7 +158,7 @@ def test_sparkline():
 def test_cli_table_smoke(capsys):
     from repro.bench.cli import main
 
-    rc = main(["table1", "--reps", "25"])
+    rc = main(["table1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "TABLE1" in out and "core#0" in out
@@ -164,7 +169,7 @@ def test_cli_json_export(tmp_path, capsys):
     import json
 
     out = tmp_path / "r.json"
-    rc = main(["table1", "--reps", "25", "--json", str(out)])
+    rc = main(["table1", "--json", str(out)])
     capsys.readouterr()
     assert rc == 0
     data = json.loads(out.read_text())
@@ -172,6 +177,26 @@ def test_cli_json_export(tmp_path, capsys):
     labels = [r["label"] for r in data["table1"]["per_core"]]
     assert labels == [f"core#{i}" for i in range(8)]
     assert data["table1"]["global_row"]["mean_ns"] > 0
+
+
+def test_cli_prints_the_blocks_of_experiments_md(capsys):
+    """The CLI runs EXPERIMENTS.md's own job specs, so an artifact prints
+    the file's fenced block for it byte for byte."""
+    from repro.bench.cli import main
+
+    # in file order: Tables I and II, Figs. 4-7, scalability, bandwidth
+    with open(os.path.join(ROOT, "EXPERIMENTS.md")) as fh:
+        blocks = re.findall(r"```\n(.*?)\n```", fh.read(), re.S)
+    headers = {
+        "table1": "TABLE1 (borderline)",
+        "table2": "TABLE2 (kwak)",
+        "scalability": "SCALABILITY (extension: global queue vs core count)",
+    }
+    assert main(list(headers)) == 0
+    assert capsys.readouterr().out == "".join(
+        f"\n=== {headers[a]} ===\n{block}\n"
+        for a, block in zip(headers, (blocks[0], blocks[1], blocks[6]))
+    )
 
 
 def test_latency_percentiles_and_tails_format():

@@ -50,7 +50,7 @@ def test_cli_rejects_unknown_target(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table1", "--reps", "10", "--json", "{bad}"],
+    ["table1", "--json", "{bad}"],
     ["table1", "--metrics-out", "{bad}"],
     ["table1", "--trace-out", "{bad}"],
     ["analyze", "--trace", "t.json", "--analysis-out", "{bad}"],
@@ -78,24 +78,23 @@ def test_output_path_in_missing_directory_fails_before_running(argv, tmp_path, c
 
 
 @pytest.mark.parametrize("argv", [
-    ["table1", "--reps", "0"],
-    ["table1", "--reps", "-3"],
-    ["fig5", "--points", "0"],
-    ["fig4", "--iters", "0"],
-    ["fig4", "--iters", "1", "--threads", "0"],
-    ["fig4", "--threads", "1,x"],
     ["table1", "--jobs", "-1"],
     ["perf", "--jobs", "x"],
     ["cluster-scale", "--requests", "0"],
     ["cluster-scale", "--shards", "0"],
     ["cluster-scale", "--shards", "x"],
     ["cluster-scale", "--nodes", "1"],
+    ["analyze", "--trace", "t.json", "--top", "0"],
+    ["analyze", "--trace", "t.json", "--cores", "0"],
+    ["diff", "a.json", "b.json", "--top", "-1"],
+    ["render", "--trace", "t.json", "--width", "0"],
+    ["render", "--trace", "t.json", "--term-width", "0"],
     # timeouts: positive finite seconds (the other flags keep a parent
     # that accepted the value quick and free of written files)
     *[
         [*pre, flag, bad]
         for pre, flag in [
-            (["table1", "--reps", "1"], "--job-timeout"),
+            (["table1"], "--job-timeout"),
             (["perf", "--check", "BENCH_host_perf.json"], "--job-timeout"),
             (["cluster-scale", "--nodes", "2", "--requests", "1", "--shards", "1",
               "--out", "-"], "--timeout"),

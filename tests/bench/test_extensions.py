@@ -63,6 +63,6 @@ def test_format_bandwidth():
 def test_cli_scalability_smoke(capsys):
     from repro.bench.cli import main
 
-    rc = main(["scalability", "--reps", "60"])
+    rc = main(["scalability"])
     out = capsys.readouterr().out
     assert rc == 0 and "SCALABILITY" in out and "blowup" in out

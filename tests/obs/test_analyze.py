@@ -151,7 +151,7 @@ def test_analysis_counts_match_registry_counters():
 def test_cli_analyze_subcommand(tmp_path, capsys):
     t_out = tmp_path / "t.json"
     a_out = tmp_path / "a.json"
-    assert main(["table1", "--reps", "8", "--trace-out", str(t_out)]) == 0
+    assert main(["table1", "--trace-out", str(t_out)]) == 0
     capsys.readouterr()
     rc = main(["analyze", "--trace", str(t_out), "--analysis-out", str(a_out)])
     out = capsys.readouterr().out
@@ -161,7 +161,7 @@ def test_cli_analyze_subcommand(tmp_path, capsys):
         assert f"core{c}" in out
     doc = json.loads(a_out.read_text())
     assert len(doc["cores"]) == 8
-    assert doc["submits"] > 0 and doc["span_ns"] > 0
+    assert doc["submits"] > 0 and doc["completions"] > 0 and doc["span_ns"] > 0
     levels = {lv["level"]: lv for lv in doc["levels"]}
     assert levels["global"]["p50_ns"] > 0
 

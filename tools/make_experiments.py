@@ -3,11 +3,13 @@
 Run:  python3 tools/make_experiments.py              (takes a few minutes)
       python3 tools/make_experiments.py --jobs 4     (multi-process fan-out)
 
-Every section is an independent seeded simulation, so the heavy runs are
-declared as ``repro.par`` job specs and fanned out over worker processes
-when ``--jobs > 1``; the rendered markdown is bit-identical to a serial
-run either way (results merge back in spec order, seeds live in the
-specs).
+Every section is an independent seeded simulation.  The runs are the
+``repro.par`` job specs of :data:`repro.bench.targets.SPECS`, the table
+``python -m repro.bench <artifact>`` reads too, fanned out over worker
+processes when ``--jobs > 1``; the rendered markdown is bit-identical to
+a serial run either way (results merge back in spec order, seeds live in
+the specs), and each fenced block is the one the matching CLI artifact
+prints.
 
 This is also the one check of the paper's results.  Before anything is
 rendered, :func:`check` asserts the shapes the paper reports on the
@@ -30,11 +32,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.bench.paper_targets import targets_for  # noqa: E402
-from repro.bench.reporting import format_latency, format_microbench, format_overlap  # noqa: E402
-from repro.bench.bandwidth import format_bandwidth  # noqa: E402
 from repro.bench.overlap import compute_grid  # noqa: E402
+from repro.bench.targets import ARTIFACTS, SPECS, render  # noqa: E402
 from repro.net.driver import IB_CONNECTX  # noqa: E402
-from repro.par import JobSpec, resolve_jobs, run_jobs_strict  # noqa: E402
+from repro.par import resolve_jobs, run_jobs_strict  # noqa: E402
 
 OUT = os.path.join(ROOT, "EXPERIMENTS.md")
 
@@ -63,33 +64,6 @@ measured distributions show remote cores executing the tasks).  For the
 single-core-#0 row the submitter drives progression itself, as the paper
 notes ("this core both creates tasks and executes them").
 """
-
-#: every heavy computation this report needs, as picklable job specs —
-#: one flat list so --jobs N overlaps tables, figures and ablations
-SPECS = [
-    JobSpec("table_borderline", "repro.bench.task_microbench:run_task_microbench_named",
-            dict(machine="borderline", reps=300, seed=1)),
-    JobSpec("table_kwak", "repro.bench.task_microbench:run_task_microbench_named",
-            dict(machine="kwak", reps=300, seed=1)),
-    JobSpec("growth_borderline", "repro.bench.task_microbench:run_task_microbench_named",
-            dict(machine="borderline", reps=200, seed=3)),
-    JobSpec("growth_kwak", "repro.bench.task_microbench:run_task_microbench_named",
-            dict(machine="kwak", reps=200, seed=3)),
-    JobSpec("fig4", "repro.bench.latency:run_fig4",
-            dict(thread_counts=(1, 2, 4, 8, 16, 32, 64, 128),
-                 iters_per_thread=3, seed=0)),
-    JobSpec("fig5", "repro.bench.overlap:run_overlap_figure",
-            dict(placement="sender", npoints=9, reps=2, seed=0)),
-    JobSpec("fig6", "repro.bench.overlap:run_overlap_figure",
-            dict(placement="receiver", npoints=9, reps=2, seed=0)),
-    JobSpec("fig7", "repro.bench.overlap:run_overlap_figure",
-            dict(placement="both", npoints=9, reps=2, seed=0)),
-    JobSpec("ablations", "repro.bench.ablations:run_ablation_suite", {}),
-    JobSpec("scalability", "repro.bench.scalability:run_scalability",
-            dict(reps=100)),
-    JobSpec("bandwidth", "repro.bench.bandwidth:run_bandwidth",
-            dict(iters=3)),
-]
 
 
 # ------------------------------------------------------------------ check
@@ -345,13 +319,14 @@ def main(argv: list[str] | None = None) -> None:
     w(HEADER)
 
     # ---------------------------------------------------------- tables
-    for name, key, table in (
-        ("Table I — borderline (4-way dual-core, 8 cores)", "table_borderline", "borderline"),
-        ("Table II — kwak (4-way quad-core, 16 cores, NUMA)", "table_kwak", "kwak"),
+    for name, artifact in (
+        ("Table I — borderline (4-way dual-core, 8 cores)", "table1"),
+        ("Table II — kwak (4-way quad-core, 16 cores, NUMA)", "table2"),
     ):
-        result = res[key]
+        result = res[ARTIFACTS[artifact][0]]
+        table = result.machine
         w(f"\n## {name}\n\n```\n")
-        w(format_microbench(result, paper=targets_for(table)))
+        w(render(artifact, result))
         w("\n```\n\n")
         ref = result.reference_ns()
         w(f"- reference (core #0, local): paper {targets_for(table)['core#0']} ns, "
@@ -376,7 +351,7 @@ def main(argv: list[str] | None = None) -> None:
     w("\n## Fig. 4 — multi-threaded latency (BORDERLINE cluster, InfiniBand)\n\n")
     series = res["fig4"]
     w("```\n")
-    w(format_latency(series))
+    w(render("fig4", series))
     w("\n```\n\n")
     by = {s.impl: s for s in series}
     w("- OpenMPI is skipped exactly as in the paper (its "
@@ -401,8 +376,8 @@ def main(argv: list[str] | None = None) -> None:
          "receiver-side stall; PIOMan keeps the handshake on idle cores"),
     ):
         w(f"\n## {fig} — overlap, computation on {placement} (32 KB and 1 MB)\n\n```\n")
-        w(format_overlap(res[key]))
-        w("```\n\n")
+        w(render(key, res[key]))
+        w("\n```\n\n")
         w(f"- {note}.\n")
 
     # ---------------------------------------------------------- ablations
@@ -466,14 +441,14 @@ def main(argv: list[str] | None = None) -> None:
     w("**Forward scalability** (the §I trend: 'tens or maybe hundreds of "
       "cores per node') — the Table-II workload on kwak-calibrated NUMA "
       "machines of growing size:\n\n```\n")
-    w(study.format())
+    w(render("scalability", study))
     w("\n```\n\nThe hierarchical per-core/per-chip costs stay flat while "
       "the global queue deteriorates super-linearly — the quantitative "
       "version of §III's scalability argument.\n\n")
     bw = res["bandwidth"]
     w("**Streaming bandwidth** (OSU-suite companion to Fig. 4; the paper "
       "cites the suite as [14]):\n\n```\n")
-    w(format_bandwidth(bw))
+    w(render("bandwidth", bw))
     w("\n```\n\nAll implementations converge to the modeled ConnectX wire "
       "rate (~1500 MB/s) at 1 MB; PIOMan pays a small task-mechanism "
       "overhead at small sizes, as expected.\n\n")
